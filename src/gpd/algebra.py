@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     GroupoidMismatch,
     InvalidCocycle,
+    InvariantViolation,
     NotClosed,
     UnknownPoint,
 )
@@ -51,6 +52,10 @@ __all__ = [
     "block_structure",
     "block_decomposition",
 ]
+
+# Relative cut for the float decisions of block splitting: eigenvalue gaps
+# and the singular values that count as nonzero rank.
+RANK_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -383,7 +388,8 @@ class ConcreteAlgebra:
     One regular representation per orbit is kept; `basis_blocks` are the
     images of the cc basis (a faithful copy of the span), `closed_blocks`
     additionally close that span under products — the finite-dimensional
-    stand-in for completion.
+    stand-in for completion. The simple-block structure of `closed_blocks`
+    is computed once, by the first `block_structure` call, and kept.
     """
 
     groupoid: Groupoid
@@ -394,6 +400,14 @@ class ConcreteAlgebra:
     fibers: Mapping[str, tuple[str, ...]]
     basis_blocks: list
     closed_blocks: list
+    _structure: dict | None = field(default=None, repr=False)
+
+    @property
+    def structure(self) -> dict:
+        """`block_structure(self)`, computed on first use."""
+        if self._structure is None:
+            return block_structure(self)
+        return self._structure
 
     @property
     def block_shapes(self) -> tuple[int, ...]:
@@ -437,8 +451,8 @@ def concrete_algebra(
     span = Echelon()
     for f in cc.basis:
         blocks = tuple(regular_rep(g, x, f, haar, sigma)[1] for x in reps)
-        added = span.add(_blocks_flatten(blocks))
-        assert added, "representation must be faithful on the admissible space"
+        if not span.add(_blocks_flatten(blocks)):
+            raise InvariantViolation("representation must be faithful on the admissible space")
         basis_blocks.append(blocks)
 
     closed = list(basis_blocks)
@@ -468,7 +482,7 @@ def concrete_algebra(
     )
 
 
-def _split_by_hermitian(subspaces, h, tol):
+def _split_by_hermitian(subspaces, h):
     import numpy as np
 
     out = []
@@ -481,23 +495,32 @@ def _split_by_hermitian(subspaces, h, tol):
         vals, vecs = np.linalg.eigh(s)
         start = 0
         for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > tol:
+            if i == len(vals) or vals[i] - vals[i - 1] > RANK_TOL:
                 out.append(q @ vecs[:, start:i])
                 start = i
     return out
 
 
-def block_structure(algebra: ConcreteAlgebra, basis_blocks=None, tol: float = 1e-9) -> dict:
+def block_structure(algebra: ConcreteAlgebra, basis_blocks=None) -> dict:
     """Simple-block analysis of a product-closed matrix algebra.
 
     Validates closure under products and the (weighted) adjoint, computes the
     center exactly, splits the representation space into joint eigenspaces of
     the conjugated central elements, and sizes each simple block by the rank
     of the restricted algebra. Returns sizes plus the per-block subspaces.
+    The closed algebra is analysed once and the result kept on `algebra`;
+    explicit `basis_blocks` are analysed afresh on every call.
     """
+    if basis_blocks is not None:
+        return _simple_blocks(algebra, basis_blocks)
+    if algebra._structure is None:
+        algebra._structure = _simple_blocks(algebra, algebra.closed_blocks)
+    return algebra._structure
+
+
+def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
     import numpy as np
 
-    basis = basis_blocks if basis_blocks is not None else algebra.closed_blocks
     if not basis:
         return {"sizes": (), "subspaces": [], "conjugated": []}
     weight_diags = algebra.weight_diags()
@@ -531,16 +554,8 @@ def block_structure(algebra: ConcreteAlgebra, basis_blocks=None, tol: float = 1e
                 commut_rows.append(row)
     center_coeffs = nullspace(commut_rows, ncols=k)
 
-    sqrt_w = [np.sqrt(np.array([float(w) for w in dw])) for dw in weight_diags]
-
-    def conjugated(blocks):
-        mats = []
-        for blk, d in zip(blocks, sqrt_w):
-            m = to_complex_matrix(blk)
-            mats.append((d[:, None] * m) / d[None, :])
-        return _np_block_diag(mats)
-
-    conj_basis = [conjugated(b) for b in basis]
+    sqrt_w = _sqrt_weights(algebra)
+    conj_basis = [_conjugated(b, sqrt_w) for b in basis]
     total = conj_basis[0].shape[0]
     subspaces = [np.eye(total, dtype=complex)]
     for coeffs in center_coeffs:
@@ -549,38 +564,58 @@ def block_structure(algebra: ConcreteAlgebra, basis_blocks=None, tol: float = 1e
             start=np.zeros((total, total), dtype=complex),
         )
         for h in ((c + c.conj().T) / 2, (c - c.conj().T) / 2j):
-            subspaces = _split_by_hermitian(subspaces, h, tol)
+            subspaces = _split_by_hermitian(subspaces, h)
 
     sizes = []
     kept = []
     for q in subspaces:
-        rows = np.array([(q.conj().T @ m @ q).ravel() for m in conj_basis])
-        svals = np.linalg.svd(rows, compute_uv=False)
-        cut = tol * max(1.0, float(svals[0])) if len(svals) else 0.0
-        r = int((svals > cut).sum())
+        r = _numeric_rank(np.array([(q.conj().T @ m @ q).ravel() for m in conj_basis]))
         n = math.isqrt(r)
-        assert n * n == r, "restricted block is not a full matrix algebra"
+        if n * n != r:
+            raise InvariantViolation("restricted block is not a full matrix algebra")
         if n:
             sizes.append(n)
             kept.append(q)
-    assert sum(n * n for n in sizes) == k, "block sizes must account for the dimension"
+    if sum(n * n for n in sizes) != k:
+        raise InvariantViolation("block sizes must account for the dimension")
     return {"sizes": tuple(sizes), "subspaces": kept, "conjugated": conj_basis}
 
 
-def _np_block_diag(mats):
+def _sqrt_weights(algebra: ConcreteAlgebra):
     import numpy as np
 
-    total = sum(m.shape[0] for m in mats)
+    return [np.sqrt(np.array([float(w) for w in dw])) for dw in algebra.weight_diags()]
+
+
+def _conjugated(blocks, sqrt_w):
+    """The blocks as one complex block-diagonal matrix, conjugated by the
+    square-root weights so that the weighted adjoint becomes the conjugate
+    transpose."""
+    import numpy as np
+
+    total = sum(len(blk) for blk in blocks)
     out = np.zeros((total, total), dtype=complex)
     at = 0
-    for m in mats:
-        n = m.shape[0]
-        out[at : at + n, at : at + n] = m
+    for blk, d in zip(blocks, sqrt_w):
+        n = len(blk)
+        out[at : at + n, at : at + n] = (d[:, None] * to_complex_matrix(blk)) / d[None, :]
         at += n
     return out
 
 
+def _numeric_rank(m) -> int:
+    """Singular values above RANK_TOL relative to the largest (at least 1)."""
+    import numpy as np
+
+    svals = np.linalg.svd(m, compute_uv=False)
+    cut = RANK_TOL * max(1.0, float(svals[0])) if len(svals) else 0.0
+    return int((svals > cut).sum())
+
+
 def block_decomposition(algebra: ConcreteAlgebra, basis_blocks=None) -> tuple[int, ...]:
     """Multiset of simple-block sizes, largest first."""
-    sizes = block_structure(algebra, basis_blocks)["sizes"]
+    if basis_blocks is None:
+        sizes = algebra.structure["sizes"]
+    else:
+        sizes = block_structure(algebra, basis_blocks)["sizes"]
     return tuple(sorted(sizes, reverse=True))

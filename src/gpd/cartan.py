@@ -13,7 +13,9 @@ The four classical conditions are tested in their exact finite forms:
 4. Restriction to unit arrows is a faithful positive idempotent expectation.
 
 On top of that: pure-state extension counting over the spectrum of B, and
-the reconstruction of the orbit relation from the pair alone.
+the reconstruction of the orbit relation from the pair alone. `Analysis`
+holds all of these answers for one (groupoid, Haar system, cocycle) and
+computes each at most once.
 
 All structural answers (membership, commutants, solvability, positivity)
 are exact; floating point enters only through the block-refinement ranks.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
@@ -31,8 +34,10 @@ from .algebra import (
     ConcreteAlgebra,
     _blocks_flatten,
     _blocks_mul,
+    _conjugated,
+    _numeric_rank,
+    _sqrt_weights,
     _topology_constraints,
-    block_structure,
     cc_space,
     concrete_algebra,
     convolve,
@@ -45,7 +50,7 @@ from .algebra import (
 )
 from .errors import GroupoidMismatch, NotMasa, WrongShape
 from .germs import ActionSystem, compose, germ_arrow
-from .groupoid import Groupoid, HaarSystem, orbits, relation_groupoid
+from .groupoid import Groupoid, HaarSystem, classify, orbits, relation_groupoid
 from .finitetop import make_space
 from .qlin import (
     ONE,
@@ -57,10 +62,10 @@ from .qlin import (
     nullspace,
     qc,
     solve,
-    to_complex_matrix,
 )
 
 __all__ = [
+    "Analysis",
     "UnitSubalgebra",
     "CartanReport",
     "unit_subalgebra",
@@ -70,7 +75,6 @@ __all__ = [
     "uep_report",
     "weyl_relation",
     "orbit_class_sizes",
-    "diagonal_report",
 ]
 
 
@@ -92,7 +96,7 @@ class UnitSubalgebra:
         return self._span.contains(element_vector(f))
 
 
-def unit_subalgebra(g: Groupoid, cc: CcSpace | None = None) -> UnitSubalgebra:
+def unit_subalgebra(g: Groupoid) -> UnitSubalgebra:
     rows = _topology_constraints(g)
     units = g.unit_arrow_set
     n = len(g.arrows)
@@ -175,26 +179,33 @@ class CartanReport:
     overall: bool
 
 
-def _commutant_of_units(
+def _commutant_check(
     g: Groupoid,
     cc: CcSpace,
     b: UnitSubalgebra,
     haar: HaarSystem,
     sigma: Cocycle | None,
-) -> list[list[QC]]:
-    """Coefficient vectors (over the cc basis) of the commutant of B."""
-    arrows = g.arrows
+) -> tuple[int, AlgebraElement | None]:
+    """Dimension of the commutant of B inside the admissible span, and an
+    element of it outside B (None exactly when B is maximal abelian)."""
     rows: list[list[QC]] = []
     for bj in b.basis:
         diffs = [
             element_vector(convolve(mi, bj, haar, sigma) - convolve(bj, mi, haar, sigma))
             for mi in cc.basis
         ]
-        for coord in range(len(arrows)):
+        for coord in range(len(g.arrows)):
             row = [d[coord] for d in diffs]
             if any(row):
                 rows.append(row)
-    return nullspace(rows, ncols=cc.dim)
+    commutant = nullspace(rows, ncols=cc.dim)
+    for coeff_vec in commutant:
+        f = zero_element(g)
+        for c, m in zip(coeff_vec, cc.basis):
+            f = f + m.scale(c)
+        if not b.contains(f):
+            return len(commutant), f
+    return len(commutant), None
 
 
 def _support_in_open_bisection(g: Groupoid, f: AlgebraElement) -> bool:
@@ -310,7 +321,7 @@ def cartan_report(
 ) -> CartanReport:
     haar = haar if haar is not None else HaarSystem.counting(g)
     cc = cc if cc is not None else cc_space(g)
-    b = unit_subalgebra(g, cc)
+    b = unit_subalgebra(g)
 
     # Condition 1: an element of B acting as a two-sided identity on the span.
     cols = len(b.basis)
@@ -335,17 +346,8 @@ def cartan_report(
     contains_unit = coeffs is not None
 
     # Condition 2: commutant of B inside the admissible span.
-    commutant = _commutant_of_units(g, cc, b, haar, sigma)
-    masa = True
-    masa_witness = None
-    for coeff_vec in commutant:
-        f = zero_element(g)
-        for c, m in zip(coeff_vec, cc.basis):
-            f = f + m.scale(c)
-        if not b.contains(f):
-            masa = False
-            masa_witness = f
-            break
+    commutant_dim, masa_witness = _commutant_check(g, cc, b, haar, sigma)
+    masa = masa_witness is None
 
     # Condition 3: bisection-supported normalizers spanning the admissible space.
     family: list[AlgebraElement] = []
@@ -375,7 +377,7 @@ def cartan_report(
         contains_unit=contains_unit,
         unit_element=unit_element,
         masa=masa,
-        commutant_dim=len(commutant),
+        commutant_dim=commutant_dim,
         masa_witness=masa_witness,
         regular=regular,
         regular_family=tuple(family),
@@ -431,32 +433,9 @@ def _per_block_ranks(
     algebra: ConcreteAlgebra,
     structure: dict,
     f: AlgebraElement,
-    tol: float = 1e-9,
 ) -> list[int]:
-    import numpy as np
-
-    blocks = algebra.represent(f)
-    sqrt_w = [
-        np.sqrt(np.array([float(w) for w in dw])) for dw in algebra.weight_diags()
-    ]
-    mats = []
-    for blk, d in zip(blocks, sqrt_w):
-        m = to_complex_matrix(blk)
-        mats.append((d[:, None] * m) / d[None, :])
-    total = sum(m.shape[0] for m in mats)
-    big = np.zeros((total, total), dtype=complex)
-    at = 0
-    for m in mats:
-        n = m.shape[0]
-        big[at : at + n, at : at + n] = m
-        at += n
-    ranks = []
-    for q in structure["subspaces"]:
-        sub = q.conj().T @ big @ q
-        svals = np.linalg.svd(sub, compute_uv=False)
-        cut = tol * max(1.0, float(svals[0])) if len(svals) else 0.0
-        ranks.append(int((svals > cut).sum()))
-    return ranks
+    big = _conjugated(algebra.represent(f), _sqrt_weights(algebra))
+    return [_numeric_rank(q.conj().T @ big @ q) for q in structure["subspaces"]]
 
 
 def uep_report(
@@ -471,6 +450,7 @@ def uep_report(
     Count = number of simple blocks meeting the image of the spectrum point's
     idempotent when every block rank is 0/1; a rank vector is reported
     instead when some block rank exceeds 1. Requires B maximal abelian.
+    The block structure is the one `algebra` keeps (see `block_structure`).
     """
     haar = haar if haar is not None else HaarSystem.counting(g)
     algebra = (
@@ -481,8 +461,8 @@ def uep_report(
     report = report if report is not None else cartan_report(g, sigma, haar, algebra.cc)
     if not report.masa:
         raise NotMasa("extension counting needs a maximal abelian unit subalgebra")
-    b = unit_subalgebra(g, algebra.cc)
-    structure = block_structure(algebra)
+    b = unit_subalgebra(g)
+    structure = algebra.structure
     counts: dict[str, object] = {}
     for pts, idem in minimal_idempotents(b, haar):
         ranks = _per_block_ranks(algebra, structure, idem)
@@ -501,10 +481,7 @@ def uep_report(
     }
 
 
-def weyl_relation(
-    algebra: ConcreteAlgebra,
-    b: UnitSubalgebra | None = None,
-) -> tuple[Groupoid, HaarSystem]:
+def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
     """Rebuild the orbit relation from the algebra pair alone.
 
     Spectrum points of B become the unit space; two points are related when
@@ -512,10 +489,8 @@ def weyl_relation(
     (p_i * m * p_j != 0 exactly). Returns a discrete relation groupoid.
     """
     g = algebra.groupoid
-    if b is None:
-        b = unit_subalgebra(g, algebra.cc)
-    rep = cartan_report(g, algebra.sigma, algebra.haar, algebra.cc)
-    if not rep.masa:
+    b = unit_subalgebra(g)
+    if _commutant_check(g, algebra.cc, b, algebra.haar, algebra.sigma)[1] is not None:
         raise NotMasa("reconstruction needs a maximal abelian unit subalgebra")
     spectrum = minimal_idempotents(b, algebra.haar)
     labels = [min(pts) for pts, _ in spectrum]
@@ -541,25 +516,53 @@ def orbit_class_sizes(g: Groupoid) -> tuple[int, ...]:
     return tuple(sorted((len(o) for o in orbits(g)), reverse=True))
 
 
-def diagonal_report(
-    g: Groupoid,
-    sigma: Cocycle | None = None,
-    haar: HaarSystem | None = None,
-) -> dict:
-    """Assemble the report for a groupoid: pair conditions + extension counts."""
-    haar = haar if haar is not None else HaarSystem.counting(g)
-    algebra = concrete_algebra(g, sigma=sigma, haar=haar)
-    rep = cartan_report(g, sigma, haar, algebra.cc)
-    try:
-        uep = uep_report(g, sigma, haar, algebra, rep)
-        uep_counts: object = uep["counts"]
-        diagonal = uep["diagonal"]
-    except NotMasa as exc:
-        uep_counts = str(exc)
-        diagonal = False
-    return {
-        "cartan": rep,
-        "uep": uep_counts,
-        "diagonal": diagonal,
-        "algebra": algebra,
-    }
+class Analysis:
+    """Every answer about one (groupoid, Haar system, cocycle), each computed
+    on first use and kept.
+
+    `classify`, `algebra`, `units` and `cartan` hold the results of
+    `classify`, `concrete_algebra`, `unit_subalgebra` and `cartan_report`;
+    `uep` holds the result of `uep_report` and, like it, raises NotMasa
+    when the unit subalgebra is not maximal abelian. The Haar system
+    defaults to counting measure.
+    """
+
+    def __init__(
+        self,
+        g: Groupoid,
+        haar: HaarSystem | None = None,
+        sigma: Cocycle | None = None,
+    ):
+        self.groupoid = g
+        self.haar = haar if haar is not None else HaarSystem.counting(g)
+        self.sigma = sigma
+
+    @cached_property
+    def classify(self) -> dict:
+        return classify(self.groupoid)
+
+    @cached_property
+    def algebra(self) -> ConcreteAlgebra:
+        return concrete_algebra(self.groupoid, sigma=self.sigma, haar=self.haar)
+
+    @cached_property
+    def units(self) -> UnitSubalgebra:
+        return unit_subalgebra(self.groupoid)
+
+    @cached_property
+    def cartan(self) -> CartanReport:
+        return cartan_report(self.groupoid, self.sigma, self.haar, self.algebra.cc)
+
+    @cached_property
+    def _uep(self) -> dict | str:
+        """The extension report, or why it does not exist."""
+        try:
+            return uep_report(self.groupoid, self.sigma, self.haar, self.algebra, self.cartan)
+        except NotMasa as exc:
+            return str(exc)
+
+    @property
+    def uep(self) -> dict:
+        if isinstance(self._uep, str):
+            raise NotMasa(self._uep)
+        return self._uep

@@ -4,8 +4,10 @@ Each entry builds a validated groupoid (plus Haar weights, an optional
 twist, and companion objects) together with a manifest: a list of labeled
 assertions that the instance is expected to satisfy. `run_manifest` executes
 them and reports pass/fail per label; nothing in a manifest mutates the
-bundle. Heavy by-products (the represented algebra, the pair report) are
-cached inside the bundle so a full manifest run builds each at most once.
+bundle. The bundle's `analysis` is the entry's `cartan.Analysis`, and each
+companion model in `extras` is an `Analysis` of its own, so a full manifest
+run, and any report made after it, builds each algebra and each pair report
+at most once.
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ from typing import Callable, Iterable, Mapping
 from . import cartan as _cartan
 from .algebra import (
     block_decomposition,
-    concrete_algebra,
     convolve,
     delta,
     make_cocycle,
     make_element,
     star,
 )
+from .cartan import Analysis
 from .errors import BadParams, UnknownEntry
 from .finitetop import FiniteSpace, make_space, quotient_separation_report
 from .germs import generate, germ_groupoid, make_partial_homeo
 from .groupoid import (
     Groupoid,
     HaarSystem,
-    classify,
     isotropy,
     make_groupoid,
     make_haar,
@@ -81,47 +82,6 @@ class CatalogEntry:
     summary: str
     params_doc: Mapping[str, str]
     builder: Callable[[Mapping], dict]
-
-
-def _algebra_of(bundle: dict):
-    cache = bundle.setdefault("_cache", {})
-    if "algebra" not in cache:
-        cache["algebra"] = concrete_algebra(
-            bundle["groupoid"], sigma=bundle.get("sigma"), haar=bundle["haar"]
-        )
-    return cache["algebra"]
-
-
-def _cartan_of(bundle: dict):
-    cache = bundle.setdefault("_cache", {})
-    if "cartan" not in cache:
-        cache["cartan"] = _cartan.cartan_report(
-            bundle["groupoid"],
-            bundle.get("sigma"),
-            bundle["haar"],
-            _algebra_of(bundle).cc,
-        )
-    return cache["cartan"]
-
-
-def _uep_of(bundle: dict):
-    cache = bundle.setdefault("_cache", {})
-    if "uep" not in cache:
-        cache["uep"] = _cartan.uep_report(
-            bundle["groupoid"],
-            bundle.get("sigma"),
-            bundle["haar"],
-            _algebra_of(bundle),
-            _cartan_of(bundle),
-        )
-    return cache["uep"]
-
-
-def _classify_of(bundle: dict):
-    cache = bundle.setdefault("_cache", {})
-    if "classify" not in cache:
-        cache["classify"] = classify(bundle["groupoid"])
-    return cache["classify"]
 
 
 # ---------------------------------------------------------------- parameters
@@ -187,21 +147,21 @@ def _build_interval_reflection(params: Mapping) -> dict:
     haar = HaarSystem.counting(g)
 
     def blocks_ok(b):
-        return block_decomposition(_algebra_of(b)) == (2, 2, 1, 1)
+        return block_decomposition(b["analysis"].algebra) == (2, 2, 1, 1)
 
     manifest = [
-        ("etale", lambda b: _classify_of(b)["etale"]),
-        ("arrows fiberwise separated", lambda b: _classify_of(b)["hausdorff_arrows"]),
+        ("etale", lambda b: b["analysis"].classify["etale"]),
+        ("arrows fiberwise separated", lambda b: b["analysis"].classify["hausdorff_arrows"]),
         (
             "topologically principal but not principal",
-            lambda b: _classify_of(b)["topologically_principal"]
-            and not _classify_of(b)["principal"],
+            lambda b: b["analysis"].classify["topologically_principal"]
+            and not b["analysis"].classify["principal"],
         ),
         ("isotropy of order 2 at the center", lambda b: isotropy(b["groupoid"], "0")["order"] == 2),
-        ("unit pair passes all four diagonal conditions", lambda b: _cartan_of(b).overall),
-        ("two pure-state extensions at the center", lambda b: _uep_of(b)["counts"]["0"] == 2),
+        ("unit pair passes all four diagonal conditions", lambda b: b["analysis"].cartan.overall),
+        ("two pure-state extensions at the center", lambda b: b["analysis"].uep["counts"]["0"] == 2),
         ("unique extensions away from the center",
-         lambda b: all(v == 1 for x, v in _uep_of(b)["counts"].items() if x != "0")),
+         lambda b: all(v == 1 for x, v in b["analysis"].uep["counts"].items() if x != "0")),
         ("simple blocks 2,2,1,1", blocks_ok),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": {}, "manifest": manifest}
@@ -224,24 +184,25 @@ def _build_glued_interval(params: Mapping) -> dict:
     def unit_indicator_inadmissible(b):
         gg = b["groupoid"]
         ones = make_element(gg, {gg.unit_arrow[x]: 1 for x in gg.units.points})
-        return not _algebra_of(b).cc.contains(ones)
+        return not b["analysis"].algebra.cc.contains(ones)
 
     def units_vanish_at_center(b):
-        sub = _cartan.unit_subalgebra(b["groupoid"], _algebra_of(b).cc)
+        sub = b["analysis"].units
         return sub.dim == 4 and all(not v.value("0~0") for v in sub.basis)
 
     manifest = [
-        ("not etale: unit space is not open", lambda b: not _classify_of(b)["etale"]),
-        ("principal", lambda b: _classify_of(b)["principal"]),
+        ("not etale: unit space is not open", lambda b: not b["analysis"].classify["etale"]),
+        ("principal", lambda b: b["analysis"].classify["principal"]),
         ("unit indicator is not admissible", unit_indicator_inadmissible),
-        ("no two-sided identity inside the unit functions", lambda b: not _cartan_of(b).contains_unit),
-        ("unit functions are maximal abelian", lambda b: _cartan_of(b).masa),
+        ("no two-sided identity inside the unit functions",
+         lambda b: not b["analysis"].cartan.contains_unit),
+        ("unit functions are maximal abelian", lambda b: b["analysis"].cartan.masa),
         (
             "restriction to units fails to be an expectation",
-            lambda b: not _cartan_of(b).expectation["well_defined"],
+            lambda b: not b["analysis"].cartan.expectation["well_defined"],
         ),
         ("unit functions vanish at the center", units_vanish_at_center),
-        ("simple blocks 2,2,1", lambda b: block_decomposition(_algebra_of(b)) == (2, 2, 1)),
+        ("simple blocks 2,2,1", lambda b: block_decomposition(b["analysis"].algebra) == (2, 2, 1)),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": {}, "manifest": manifest}
 
@@ -250,12 +211,12 @@ def _build_glued_interval_open_diagonal(params: Mapping) -> dict:
     _reject_unknown(params, ())
     g, haar = _glued_interval_relation("product_plus_diagonal", "cross_a3")
     manifest = [
-        ("etale", lambda b: _classify_of(b)["etale"]),
-        ("principal", lambda b: _classify_of(b)["principal"]),
-        ("unit pair passes all four diagonal conditions", lambda b: _cartan_of(b).overall),
-        ("every pure state extends uniquely", lambda b: _uep_of(b)["all_unique"]),
-        ("diagonal verdict true", lambda b: _uep_of(b)["diagonal"]),
-        ("simple blocks 2,2,1", lambda b: block_decomposition(_algebra_of(b)) == (2, 2, 1)),
+        ("etale", lambda b: b["analysis"].classify["etale"]),
+        ("principal", lambda b: b["analysis"].classify["principal"]),
+        ("unit pair passes all four diagonal conditions", lambda b: b["analysis"].cartan.overall),
+        ("every pure state extends uniquely", lambda b: b["analysis"].uep["all_unique"]),
+        ("diagonal verdict true", lambda b: b["analysis"].uep["diagonal"]),
+        ("simple blocks 2,2,1", lambda b: block_decomposition(b["analysis"].algebra) == (2, 2, 1)),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": {}, "manifest": manifest}
 
@@ -288,12 +249,8 @@ def _gluing_relation(base: FiniteSpace, separated_at: list[str], name: str):
     return space, g, haar
 
 
-def _orbit_partition(g: Groupoid) -> list[tuple[str, ...]]:
-    return orbits(g)
-
-
 def _separation_extras(space: FiniteSpace, g: Groupoid, separated_at: list[str], base: FiniteSpace) -> dict:
-    report = quotient_separation_report(space, _orbit_partition(g))
+    report = quotient_separation_report(space, orbits(g))
     n = len(separated_at)
     glued = set(separated_at)
     expected = sorted(
@@ -330,9 +287,9 @@ def _gluing_manifest(extras_key: str = "separation") -> list:
         # Gluing along the complement of a non-closed point breaks local
         # openness of the range map, so etale-ness tracks closedness.
         ("etale precisely when every glue point is closed",
-         lambda b: _classify_of(b)["etale"] == b["extras"]["all_glue_points_closed"]),
-        ("arrows fiberwise separated", lambda b: _classify_of(b)["hausdorff_arrows"]),
-        ("principal", lambda b: _classify_of(b)["principal"]),
+         lambda b: b["analysis"].classify["etale"] == b["extras"]["all_glue_points_closed"]),
+        ("arrows fiberwise separated", lambda b: b["analysis"].classify["hausdorff_arrows"]),
+        ("principal", lambda b: b["analysis"].classify["principal"]),
         ("quotient separation matches the glue structure", separation_matches),
     ]
 
@@ -349,10 +306,10 @@ def _build_doubled_origin(params: Mapping) -> dict:
 
     manifest = _gluing_manifest() + [
         ("exactly the two origin classes are non-separated", origin_classes_glow),
-        ("unit pair passes all four diagonal conditions", lambda b: _cartan_of(b).overall),
-        ("every pure state extends uniquely", lambda b: _uep_of(b)["all_unique"]),
-        ("diagonal verdict true", lambda b: _uep_of(b)["diagonal"]),
-        ("simple blocks 2,2,1,1", lambda b: block_decomposition(_algebra_of(b)) == (2, 2, 1, 1)),
+        ("unit pair passes all four diagonal conditions", lambda b: b["analysis"].cartan.overall),
+        ("every pure state extends uniquely", lambda b: b["analysis"].uep["all_unique"]),
+        ("diagonal verdict true", lambda b: b["analysis"].uep["diagonal"]),
+        ("simple blocks 2,2,1,1", lambda b: block_decomposition(b["analysis"].algebra) == (2, 2, 1, 1)),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": extras, "manifest": manifest}
 
@@ -415,29 +372,22 @@ def _build_rotation(params: Mapping) -> dict:
     companion, companion_haar = relation_groupoid(
         space, companion_pairs, "product", name="rotation companion"
     )
-    extras = {"companion": (companion, companion_haar), "n": n, "m": m}
-
-    def companion_bundle(b):
-        cache = b.setdefault("_cache", {})
-        if "companion_bundle" not in cache:
-            g2, h2 = b["extras"]["companion"]
-            cache["companion_bundle"] = {"groupoid": g2, "haar": h2, "sigma": None}
-        return cache["companion_bundle"]
+    extras = {"companion": Analysis(companion, companion_haar), "n": n, "m": m}
 
     expected = tuple([n] * m)
     manifest = [
         ("free action: etale and principal",
-         lambda b: _classify_of(b)["etale"] and _classify_of(b)["principal"]),
+         lambda b: b["analysis"].classify["etale"] and b["analysis"].classify["principal"]),
         ("crossed product splits into m blocks of size n",
-         lambda b: block_decomposition(_algebra_of(b)) == expected),
+         lambda b: block_decomposition(b["analysis"].algebra) == expected),
         ("companion splits identically",
-         lambda b: block_decomposition(_algebra_of(companion_bundle(b))) == expected),
+         lambda b: block_decomposition(b["extras"]["companion"].algebra) == expected),
         ("crossed-product unit pair passes all four diagonal conditions",
-         lambda b: _cartan_of(b).overall),
+         lambda b: b["analysis"].cartan.overall),
         ("companion unit pair passes all four diagonal conditions",
-         lambda b: _cartan_of(companion_bundle(b)).overall),
+         lambda b: b["extras"]["companion"].cartan.overall),
         ("unique pure-state extensions on both models",
-         lambda b: _uep_of(b)["all_unique"] and _uep_of(companion_bundle(b))["all_unique"]),
+         lambda b: b["analysis"].uep["all_unique"] and b["extras"]["companion"].uep["all_unique"]),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": extras, "manifest": manifest,
             "params": {"n": n, "m": m}}
@@ -531,25 +481,18 @@ def _build_fourier(params: Mapping) -> dict:
     ms = _as_int_list(params, "target_orders", [4])
     mat = _as_matrix(params, "matrix", [[2]])
     (g, haar), (g2, haar2) = crossed_product_pair(ns, ms, mat)
-    extras = {"dual": (g2, haar2)}
-
-    def dual_bundle(b):
-        cache = b.setdefault("_cache", {})
-        if "dual_bundle" not in cache:
-            gg, hh = b["extras"]["dual"]
-            cache["dual_bundle"] = {"groupoid": gg, "haar": hh, "sigma": None}
-        return cache["dual_bundle"]
+    extras = {"dual": Analysis(g2, haar2)}
 
     manifest = [
         ("both translation groupoids etale with separated arrows",
-         lambda b: _classify_of(b)["etale"]
-         and _classify_of(b)["hausdorff_arrows"]
-         and classify(b["extras"]["dual"][0])["etale"]),
+         lambda b: b["analysis"].classify["etale"]
+         and b["analysis"].classify["hausdorff_arrows"]
+         and b["extras"]["dual"].classify["etale"]),
         ("equal algebra dimensions",
-         lambda b: _algebra_of(b).dim == _algebra_of(dual_bundle(b)).dim),
+         lambda b: b["analysis"].algebra.dim == b["extras"]["dual"].algebra.dim),
         ("identical simple block multisets",
-         lambda b: block_decomposition(_algebra_of(b))
-         == block_decomposition(_algebra_of(dual_bundle(b)))),
+         lambda b: block_decomposition(b["analysis"].algebra)
+         == block_decomposition(b["extras"]["dual"].algebra)),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": extras, "manifest": manifest,
             "params": {"source_orders": ns, "target_orders": ms, "matrix": mat}}
@@ -573,43 +516,39 @@ def _build_two_involutions(params: Mapping) -> dict:
     g = germ_groupoid(generate(space, [g1, g2]), name="skandalis")
     haar = HaarSystem.counting(g)
 
-    def f0(b):
-        cache = b.setdefault("_cache", {})
-        if "f0" not in cache:
-            cache["f0"] = _cartan.skandalis_element(b["groupoid"])
-        return cache["f0"]
-
     def alternating_sum_is_masa_obstruction(b):
         gg = b["groupoid"]
-        f = f0(b)
-        sub = _cartan.unit_subalgebra(gg, _algebra_of(b).cc)
+        f = _cartan.skandalis_element(gg)
+        sub = b["analysis"].units
         commutes = all(
             not (convolve(f, v, b["haar"]) - convolve(v, f, b["haar"])).coeffs
             for v in sub.basis
         )
-        return commutes and not sub.contains(f) and _algebra_of(b).cc.contains(f)
+        return commutes and not sub.contains(f) and b["analysis"].algebra.cc.contains(f)
 
     def support_is_signed_isotropy(b):
         gg = b["groupoid"]
-        f = f0(b)
+        f = _cartan.skandalis_element(gg)
         iso = [a for a in f.support if gg.r[a] == gg.s[a] and gg.r[a] in ("a", "b")]
         values_ok = all(f.value(a).as_quad() in ([1, 1, 0, 1], [-1, 1, 0, 1]) for a in f.support)
         return len(f.support) == 8 and iso == sorted(f.support) and values_ok
 
     manifest = [
-        ("arrow space is not fiberwise separated", lambda b: not _classify_of(b)["hausdorff_arrows"]),
-        ("etale", lambda b: _classify_of(b)["etale"]),
+        ("arrow space is not fiberwise separated",
+         lambda b: not b["analysis"].classify["hausdorff_arrows"]),
+        ("etale", lambda b: b["analysis"].classify["etale"]),
         ("topologically principal but not principal",
-         lambda b: _classify_of(b)["topologically_principal"] and not _classify_of(b)["principal"]),
-        ("unit functions are not maximal abelian", lambda b: not _cartan_of(b).masa),
+         lambda b: b["analysis"].classify["topologically_principal"]
+         and not b["analysis"].classify["principal"]),
+        ("unit functions are not maximal abelian", lambda b: not b["analysis"].cartan.masa),
         ("a commutant witness outside the unit functions is shipped",
-         lambda b: _cartan_of(b).masa_witness is not None),
+         lambda b: b["analysis"].cartan.masa_witness is not None),
         ("alternating involution sum commutes with unit functions yet escapes them",
          alternating_sum_is_masa_obstruction),
         ("alternating sum is supported on the 8 fixed-point isotropy germs with values ±1",
          support_is_signed_isotropy),
         ("restriction to units is not a well-defined expectation",
-         lambda b: not _cartan_of(b).expectation["well_defined"]),
+         lambda b: not b["analysis"].cartan.expectation["well_defined"]),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": {}, "manifest": manifest}
 
@@ -648,12 +587,6 @@ def _build_twisted_klein(params: Mapping) -> dict:
         },
     )
 
-    def untwisted_bundle(b):
-        cache = b.setdefault("_cache", {})
-        if "untwisted" not in cache:
-            cache["untwisted"] = {"groupoid": b["groupoid"], "haar": b["haar"], "sigma": None}
-        return cache["untwisted"]
-
     def star_flips_double_generator(b):
         f = delta(b["groupoid"], "11")
         return star(f, b["sigma"]) == f.scale(-1)
@@ -661,14 +594,15 @@ def _build_twisted_klein(params: Mapping) -> dict:
     manifest = [
         ("twist is validated and normalized", lambda b: b["sigma"].validated),
         ("twisted algebra is one 2x2 block",
-         lambda b: block_decomposition(_algebra_of(b)) == (2,)),
+         lambda b: block_decomposition(b["analysis"].algebra) == (2,)),
         ("untwisted algebra is four scalars",
-         lambda b: block_decomposition(_algebra_of(untwisted_bundle(b))) == (1, 1, 1, 1)),
+         lambda b: block_decomposition(b["extras"]["untwisted"].algebra) == (1, 1, 1, 1)),
         ("twisted involution flips the doubly-flipped arrow", star_flips_double_generator),
         ("unit functions are scalars, hence not maximal abelian",
-         lambda b: not _cartan_of(b).masa),
+         lambda b: not b["analysis"].cartan.masa),
     ]
-    return {"groupoid": g, "haar": haar, "sigma": sigma, "extras": {}, "manifest": manifest}
+    extras = {"untwisted": Analysis(g, haar)}
+    return {"groupoid": g, "haar": haar, "sigma": sigma, "extras": extras, "manifest": manifest}
 
 
 def _build_pair(params: Mapping) -> dict:
@@ -677,18 +611,18 @@ def _build_pair(params: Mapping) -> dict:
     g, haar = pair_groupoid([str(i) for i in range(k)], name=f"pair({k})")
 
     def weyl_round_trip(b):
-        algebra = _algebra_of(b)
+        algebra = b["analysis"].algebra
         rel, _ = _cartan.weyl_relation(algebra)
         return _cartan.orbit_class_sizes(rel) == _cartan.orbit_class_sizes(b["groupoid"])
 
     manifest = [
         ("discrete, etale, principal",
-         lambda b: _classify_of(b)["etale"] and _classify_of(b)["principal"]),
-        ("image of every closed set is closed", lambda b: _classify_of(b)["proper_closed"]),
+         lambda b: b["analysis"].classify["etale"] and b["analysis"].classify["principal"]),
+        ("image of every closed set is closed", lambda b: b["analysis"].classify["proper_closed"]),
         ("single simple block of full size",
-         lambda b: block_decomposition(_algebra_of(b)) == (k,)),
-        ("unit pair passes all four diagonal conditions", lambda b: _cartan_of(b).overall),
-        ("every pure state extends uniquely", lambda b: _uep_of(b)["all_unique"]),
+         lambda b: block_decomposition(b["analysis"].algebra) == (k,)),
+        ("unit pair passes all four diagonal conditions", lambda b: b["analysis"].cartan.overall),
+        ("every pure state extends uniquely", lambda b: b["analysis"].uep["all_unique"]),
         ("reconstruction returns the single orbit class", weyl_round_trip),
     ]
     return {"groupoid": g, "haar": haar, "sigma": None, "extras": {}, "manifest": manifest,
@@ -791,6 +725,7 @@ def build(name: str, params: Mapping | None = None) -> dict:
     bundle.setdefault("params", {})
     bundle.setdefault("extras", {})
     bundle["entry"] = name
+    bundle["analysis"] = Analysis(bundle["groupoid"], bundle["haar"], bundle.get("sigma"))
     return bundle
 
 

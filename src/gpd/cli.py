@@ -28,16 +28,15 @@ from fractions import Fraction
 from . import catalog as _catalog
 from .algebra import (
     block_decomposition,
-    concrete_algebra,
     convolve,
     reduced_norm,
     star,
     vector_element,
 )
-from .cartan import cartan_report, diagonal_report
-from .errors import GpdError, SchemaError
+from .cartan import Analysis
+from .errors import GpdError, NotMasa, SchemaError
 from .germs import generate, germ_groupoid
-from .groupoid import HaarSystem, classify, isotropy
+from .groupoid import HaarSystem, isotropy
 from .qlin import QC
 from .serialize import (
     element_doc,
@@ -131,12 +130,12 @@ def _load_doc(path: str):
         raise SchemaError(f"not valid JSON: {exc}", "$") from None
 
 
-def _load_model(args):
+def _load_model(args) -> Analysis:
     g, haar = load_groupoid(_load_doc(args.file))
     sigma = None
     if getattr(args, "cocycle", None):
         sigma = load_cocycle(_load_doc(args.cocycle), g)
-    return g, haar, sigma
+    return Analysis(g, haar, sigma)
 
 
 def _parse_params(pairs) -> dict:
@@ -152,8 +151,8 @@ def _parse_params(pairs) -> dict:
 # ------------------------------------------------------------ report builders
 
 
-def _analyze_report(g, haar) -> dict:
-    flags = classify(g)
+def _analyze_report(an: Analysis) -> dict:
+    g, flags = an.groupoid, an.classify
     return {
         "name": g.name,
         "points": sorted(g.units.points),
@@ -192,11 +191,11 @@ def _cstar_probe(algebra) -> dict:
     }
 
 
-def _algebra_report(g, haar, sigma) -> dict:
-    algebra = concrete_algebra(g, sigma=sigma, haar=haar)
+def _algebra_report(an: Analysis) -> dict:
+    algebra = an.algebra
     return {
-        "name": g.name,
-        "arrow_count": len(g.arrows),
+        "name": an.groupoid.name,
+        "arrow_count": len(an.groupoid.arrows),
         "admissible_dim": algebra.cc.dim,
         "span_dim": algebra.span_dim,
         "closed_dim": algebra.dim,
@@ -206,9 +205,13 @@ def _algebra_report(g, haar, sigma) -> dict:
     }
 
 
-def _cartan_json(g, haar, sigma) -> dict:
-    rep = diagonal_report(g, sigma, haar)
-    cr = rep["cartan"]
+def _cartan_json(an: Analysis) -> dict:
+    cr = an.cartan
+    try:
+        uep = an.uep
+        counts, diagonal = uep["counts"], uep["diagonal"]
+    except NotMasa as exc:
+        counts, diagonal = str(exc), False
     return {
         "cartan": {
             "contains_unit": cr.contains_unit,
@@ -219,8 +222,8 @@ def _cartan_json(g, haar, sigma) -> dict:
             "expectation": dict(cr.expectation),
             "overall": cr.overall,
         },
-        "uep": _jsonable(rep["uep"]),
-        "diagonal": rep["diagonal"],
+        "uep": _jsonable(counts),
+        "diagonal": diagonal,
     }
 
 
@@ -231,12 +234,12 @@ def _duality_report(params: dict) -> dict:
     (g1, h1), (g2, h2) = _catalog.crossed_product_pair(ns, ms, mat)
 
     def side(g, haar):
-        algebra = concrete_algebra(g, haar=haar)
-        rep = cartan_report(g, None, haar, algebra.cc)
+        an = Analysis(g, haar)
+        rep = an.cartan
         return {
             "arrow_count": len(g.arrows),
-            "dim": algebra.dim,
-            "blocks": list(block_decomposition(algebra)),
+            "dim": an.algebra.dim,
+            "blocks": list(block_decomposition(an.algebra)),
             "cartan": {
                 "contains_unit": rep.contains_unit,
                 "masa": rep.masa,
@@ -259,15 +262,15 @@ def _duality_report(params: dict) -> dict:
 def _catalog_entry_report(name: str, params: dict) -> tuple[dict, bool]:
     bundle = _catalog.build(name, params)
     results = _catalog.run_manifest(bundle)
-    g, haar, sigma = bundle["groupoid"], bundle["haar"], bundle.get("sigma")
+    an = bundle["analysis"]
     report = {
         "entry": bundle["entry"],
         "params": _jsonable(bundle["params"]),
         "summary": _catalog.describe(name).summary,
         "manifest": results,
-        "analyze": _analyze_report(g, haar),
-        "algebra": _algebra_report(g, haar, sigma),
-        "cartan": _cartan_json(g, haar, sigma),
+        "analyze": _analyze_report(an),
+        "algebra": _algebra_report(an),
+        "cartan": _cartan_json(an),
         "extras": {
             k: _jsonable(v)
             for k, v in bundle["extras"].items()
@@ -287,47 +290,34 @@ def _is_jsonable(val) -> bool:
     return False
 
 
-def _cross_entry_checks() -> list[dict]:
-    """Registry-wide consistency assertions for `catalog --all`."""
-
-    def blocks_of(name):
-        bundle = _catalog.build(name)
-        return block_decomposition(_catalog._algebra_of(bundle))
-
-    checks = []
-    try:
-        ok = blocks_of("cross_a1") == blocks_of("cross_a4")
-        detail = ""
-    except GpdError as exc:
-        ok, detail = False, str(exc)
-    checks.append(
+def _cross_entry_checks(reports: list[dict]) -> list[dict]:
+    """Registry-wide consistency assertions for `catalog --all`, read off the
+    entry reports already made."""
+    blocks = {r["entry"]: r["algebra"]["blocks"] for r in reports}
+    return [
         {
             "label": "reflection germ model and doubled-origin model share one block multiset",
-            "ok": ok,
-            "detail": detail,
+            "ok": blocks["cross_a1"] == blocks["cross_a4"],
+            "detail": "",
         }
-    )
-    return checks
+    ]
 
 
 # --------------------------------------------------------------- subcommands
 
 
 def _cmd_analyze(args) -> int:
-    g, haar, _ = _load_model(args)
-    _emit(_analyze_report(g, haar), args)
+    _emit(_analyze_report(_load_model(args)), args)
     return 0
 
 
 def _cmd_algebra(args) -> int:
-    g, haar, sigma = _load_model(args)
-    _emit(_algebra_report(g, haar, sigma), args)
+    _emit(_algebra_report(_load_model(args)), args)
     return 0
 
 
 def _cmd_cartan(args) -> int:
-    g, haar, sigma = _load_model(args)
-    _emit(_cartan_json(g, haar, sigma), args)
+    _emit(_cartan_json(_load_model(args)), args)
     return 0
 
 
@@ -364,7 +354,7 @@ def _cmd_catalog(args) -> int:
             report, ok = _catalog_entry_report(name, {})
             reports.append(report)
             all_ok = all_ok and ok
-        cross = _cross_entry_checks()
+        cross = _cross_entry_checks(reports)
         all_ok = all_ok and all(c["ok"] for c in cross)
         _emit({"entries": reports, "cross_entry": cross, "all_ok": all_ok}, args)
         return 0 if all_ok else 1

@@ -22,6 +22,7 @@ __all__ = [
     "InvalidCocycle",
     "NotMasa",
     "NotClosed",
+    "InvariantViolation",
     "WrongShape",
     "UnknownEntry",
     "BadParams",
@@ -87,6 +88,10 @@ class NotMasa(GpdError):
 
 class NotClosed(GpdError):
     """Operation requires a product-closed algebra and got a bare subspace."""
+
+
+class InvariantViolation(GpdError):
+    """An internal invariant failed: a defect of the package, not of its input."""
 
 
 class WrongShape(GpdError):

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import NotAHomeomorphism, NotAnAction, OutsideDomain, UnknownPoint
+from .errors import (
+    InvariantViolation,
+    NotAHomeomorphism,
+    NotAnAction,
+    OutsideDomain,
+    UnknownPoint,
+)
 from .finitetop import FiniteSpace, is_open
 from .groupoid import Groupoid, make_groupoid
 
@@ -88,7 +94,8 @@ def make_partial_homeo(
                 f"(minimal neighborhood maps to {sorted(image)})"
             )
     cod = frozenset(mapping.values())
-    assert is_open(space, cod), "open domains map to open codomains"
+    if not is_open(space, cod):
+        raise InvariantViolation("open domains map to open codomains")
     return PartialHomeo(space=space, name=name, dom=d, mapping=dict(mapping))
 
 

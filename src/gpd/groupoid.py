@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 from .errors import (
     AxiomViolation,
     EffectivenessRequiresEtale,
+    InvariantViolation,
     NotAHomeomorphism,
     NotAnAction,
     NotEquivalence,
@@ -66,13 +67,6 @@ class Groupoid:
     def unit_arrow_set(self) -> frozenset[str]:
         return frozenset(self.unit_arrow.values())
 
-    def point_of_unit(self, arrow: str) -> str | None:
-        if self.r[arrow] == self.s[arrow] and self.unit_arrow[self.r[arrow]] == arrow:
-            return self.r[arrow]
-        return None
-
-    def composable_pairs(self) -> Iterable[tuple[str, str]]:
-        return self.comp.keys()
 
 
 def _index_fibers(arrows, by):
@@ -221,8 +215,10 @@ def isotropy(g: Groupoid, x: str) -> dict:
     elems = tuple(sorted(a for a in g.arrows if g.r[a] == x and g.s[a] == x))
     table = {(a, b): g.comp[(a, b)] for a in elems for b in elems}
     eset = set(elems)
-    assert all(c in eset for c in table.values()), "isotropy not closed"
-    assert all(g.inv[a] in eset for a in elems), "isotropy not inverse-closed"
+    if not all(c in eset for c in table.values()):
+        raise InvariantViolation("isotropy not closed")
+    if not all(g.inv[a] in eset for a in elems):
+        raise InvariantViolation("isotropy not inverse-closed")
     return {
         "point": x,
         "arrows": elems,

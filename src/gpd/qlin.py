@@ -20,7 +20,6 @@ __all__ = [
     "nullspace",
     "solve",
     "in_span",
-    "span_rank",
     "hermitian_is_pd",
     "hermitian_is_psd",
     "to_complex_matrix",
@@ -197,10 +196,6 @@ def in_span(vectors: Sequence[Sequence[QC]], target: Sequence[QC]) -> Row | None
     n = len(target)
     cols = [[vec[i] for vec in vectors] for i in range(n)]
     return solve(cols, list(target))
-
-
-def span_rank(vectors: Sequence[Sequence[QC]]) -> int:
-    return rank(vectors)
 
 
 def _hermitian_pivots(h_rows: Sequence[Sequence[QC]]) -> list[Fraction] | None:

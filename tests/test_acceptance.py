@@ -106,8 +106,8 @@ def test_criterion_03_interval_reflection(zoo):
 
 
 def test_criterion_04_reflection_matches_doubled_origin(zoo):
-    blocks_a1 = block_decomposition(catalog._algebra_of(zoo["cross_a1"]))
-    blocks_a4 = block_decomposition(catalog._algebra_of(zoo["doubled_origin"]))
+    blocks_a1 = block_decomposition(zoo["cross_a1"]["analysis"].algebra)
+    blocks_a4 = block_decomposition(zoo["doubled_origin"]["analysis"].algebra)
     assert blocks_a1 == blocks_a4 == (2, 2, 1, 1)
     passed(4, "reflection and doubled-origin models share blocks {2,2,1,1}")
 
@@ -140,10 +140,10 @@ def test_criterion_07_rotation_sweep():
         for m in (2, 3):
             bundle = catalog.build("rotation", {"n": n, "m": m})
             expected = tuple([n] * m)
-            crossed = catalog._algebra_of(bundle)
+            crossed = bundle["analysis"].algebra
             assert block_decomposition(crossed) == expected, (n, m)
-            assert catalog._cartan_of(bundle).overall, (n, m)
-            g2, h2 = bundle["extras"]["companion"]
+            assert bundle["analysis"].cartan.overall, (n, m)
+            g2, h2 = bundle["extras"]["companion"].groupoid, bundle["extras"]["companion"].haar
             from gpd.algebra import concrete_algebra
 
             companion = concrete_algebra(g2, haar=h2)
@@ -171,7 +171,7 @@ def test_criterion_09_two_involutions(zoo):
     assert classify(g)["hausdorff_arrows"] is False
     f0 = skandalis_element(g)
     cc = cc_space(g)
-    sub = unit_subalgebra(g, cc)
+    sub = unit_subalgebra(g)
     for b in sub.basis:
         assert convolve(f0, b, haar) == convolve(b, f0, haar)
     assert not sub.contains(f0)
@@ -241,7 +241,7 @@ def test_criterion_12_weyl_round_trip():
     for n in (2, 3):
         for m in (2, 3):
             bundle = catalog.build("rotation", {"n": n, "m": m})
-            rel, _ = weyl_relation(catalog._algebra_of(bundle))
+            rel, _ = weyl_relation(bundle["analysis"].algebra)
             assert orbit_class_sizes(rel) == orbit_class_sizes(bundle["groupoid"])
             assert len(rel.arrows) == m * n * n
     passed(12, "reconstruction returns the source orbit relation for pair "

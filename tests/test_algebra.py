@@ -336,6 +336,18 @@ def test_block_structure_rejects_non_closed_span(a1):
     alg = concrete_algebra(a1["g"], haar=a1["haar"])
     with pytest.raises(NotClosed):
         block_structure(alg, basis_blocks=alg.basis_blocks)
+    assert alg._structure is None  # the failed control leaves nothing behind
+
+
+def test_block_structure_is_kept_on_the_algebra(a1):
+    alg = concrete_algebra(a1["g"], haar=a1["haar"])
+    first = block_structure(alg)
+    assert block_structure(alg) is first
+    assert alg.structure is first
+    # explicit basis blocks are analysed afresh and never replace the kept one
+    fresh = block_structure(alg, basis_blocks=alg.closed_blocks)
+    assert fresh is not first and fresh["sizes"] == first["sizes"]
+    assert block_structure(alg) is first
 
 
 def test_unit_restriction_preserves_admissibility_when_etale_separated(a1, a3, a4, pair3):

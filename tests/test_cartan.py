@@ -4,8 +4,8 @@ import pytest
 
 from gpd.algebra import concrete_algebra, convolve, delta, make_element, zero_element
 from gpd.cartan import (
+    Analysis,
     cartan_report,
-    diagonal_report,
     minimal_idempotents,
     orbit_class_sizes,
     skandalis_element,
@@ -116,7 +116,7 @@ def test_two_involutions_report_flags(two_involutions):
     w = rep.masa_witness
     assert w is not None
     assert alg.cc.contains(w)
-    sub = unit_subalgebra(two_involutions["g"], alg.cc)
+    sub = unit_subalgebra(two_involutions["g"])
     assert not sub.contains(w)
     haar = two_involutions["haar"]
     for b in sub.basis:
@@ -135,7 +135,7 @@ def test_twisted_klein_report_flags(klein):
 def test_expectation_is_bimodular_over_unit_functions(a1):
     g, haar = a1["g"], a1["haar"]
     alg = algebra_of(a1)
-    sub = unit_subalgebra(g, alg.cc)
+    sub = unit_subalgebra(g)
     units = g.unit_arrow_set
 
     def restrict(f):
@@ -180,7 +180,7 @@ def test_alternating_element_obstructs_the_masa(two_involutions):
     alg = algebra_of(two_involutions)
     f0 = skandalis_element(g)
     assert alg.cc.contains(f0)
-    sub = unit_subalgebra(g, alg.cc)
+    sub = unit_subalgebra(g)
     assert not sub.contains(f0)
     for b in sub.basis:
         assert convolve(f0, b, haar) == convolve(b, f0, haar)
@@ -221,14 +221,29 @@ def test_extension_counts_need_a_masa(two_involutions, a2):
 
 
 def test_diagonal_report_shapes(a1, a2, a3, two_involutions):
-    rep1 = diagonal_report(a1["g"], None, a1["haar"])
-    assert rep1["diagonal"] is False and rep1["uep"]["0"] == 2
-    rep2 = diagonal_report(a2["g"], None, a2["haar"])
-    assert rep2["diagonal"] is False and "indicator" in rep2["uep"]
-    rep3 = diagonal_report(a3["g"], None, a3["haar"])
-    assert rep3["diagonal"] is True
-    rep6 = diagonal_report(two_involutions["g"], None, two_involutions["haar"])
-    assert rep6["diagonal"] is False and "maximal abelian" in rep6["uep"]
+    rep1 = Analysis(a1["g"], a1["haar"])
+    assert rep1.uep["diagonal"] is False and rep1.uep["counts"]["0"] == 2
+    # no extension report means no diagonal verdict; the reason is kept
+    rep2 = Analysis(a2["g"], a2["haar"])
+    for _ in range(2):
+        with pytest.raises(NotMasa, match="indicator"):
+            rep2.uep
+    rep3 = Analysis(a3["g"], a3["haar"])
+    assert rep3.uep["diagonal"] is True
+    rep6 = Analysis(two_involutions["g"], two_involutions["haar"])
+    with pytest.raises(NotMasa, match="maximal abelian"):
+        rep6.uep
+
+
+def test_analysis_computes_each_answer_once(a1):
+    an = Analysis(a1["g"], a1["haar"])
+    assert an.algebra is an.algebra
+    assert an.cartan is an.cartan and an.cartan.overall
+    assert an.uep is an.uep
+    assert an.units is an.units and an.units.dim == 5
+    assert an.classify is an.classify and an.classify["etale"]
+    assert an.algebra.structure is an.algebra.structure
+    assert Analysis(a1["g"]).haar.weight == a1["haar"].weight
 
 
 # ------------------------------------------------------------- reconstruction

@@ -64,16 +64,16 @@ def test_run_manifest_reports_exceptions_as_failures():
 
 def test_algebra_cache_is_reused():
     bundle = catalog.build("pair")
-    first = catalog._algebra_of(bundle)
-    assert catalog._algebra_of(bundle) is first
+    first = bundle["analysis"].algebra
+    assert bundle["analysis"].algebra is first
 
 
 def test_reflection_and_doubled_origin_share_blocks():
     a1 = catalog.build("cross_a1")
     a4 = catalog.build("cross_a4")
     assert (
-        block_decomposition(catalog._algebra_of(a1))
-        == block_decomposition(catalog._algebra_of(a4))
+        block_decomposition(a1["analysis"].algebra)
+        == block_decomposition(a4["analysis"].algebra)
         == (2, 2, 1, 1)
     )
 
@@ -128,8 +128,8 @@ def test_rotation_parameter_sweep():
             bundle = catalog.build("rotation", {"n": n, "m": m})
             manifest_ok(bundle)
             expected = tuple([n] * m)
-            assert block_decomposition(catalog._algebra_of(bundle)) == expected
-            companion, companion_haar = bundle["extras"]["companion"]
+            assert block_decomposition(bundle["analysis"].algebra) == expected
+            companion = bundle["extras"]["companion"].groupoid
             assert len(companion.arrows) == m * n * n
             assert len(bundle["groupoid"].arrows) == n * (n * m)
 
@@ -146,14 +146,14 @@ def test_rotation_bad_params():
 def test_fourier_default_and_identity():
     bundle = catalog.build("fourier")
     manifest_ok(bundle)
-    dual_g, _ = bundle["extras"]["dual"]
+    dual_g = bundle["extras"]["dual"].groupoid
     assert len(bundle["groupoid"].arrows) == 8 == len(dual_g.arrows)
     bundle = catalog.build(
         "fourier",
         {"source_orders": "3", "target_orders": "3", "matrix": "1"},
     )
     manifest_ok(bundle)
-    assert block_decomposition(catalog._algebra_of(bundle)) == (3,)
+    assert block_decomposition(bundle["analysis"].algebra) == (3,)
 
 
 def test_fourier_rejects_non_homomorphism():
@@ -178,7 +178,7 @@ def test_klein_twist_is_validated():
 def test_pair_range_check():
     bundle = catalog.build("pair", {"k": 5})
     manifest_ok(bundle)
-    assert block_decomposition(catalog._algebra_of(bundle)) == (5,)
+    assert block_decomposition(bundle["analysis"].algebra) == (5,)
     with pytest.raises(BadParams):
         catalog.build("pair", {"k": 1})
     with pytest.raises(BadParams):

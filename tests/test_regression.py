@@ -1,0 +1,115 @@
+"""Regression checks on the whole pipeline: `gpd catalog --all --json`
+against a stored report, and how many algebras, block structures and pair
+reports one run computes."""
+
+import contextlib
+import functools
+import importlib
+import io
+import json
+import math
+import pathlib
+from collections import Counter
+
+import pytest
+
+from gpd import algebra as A
+from gpd import cartan as C
+from gpd import catalog, cli
+
+STORED = pathlib.Path(__file__).parent / "data" / "catalog_all.json"
+MODULES = ("qlin", "finitetop", "groupoid", "germs", "algebra", "cartan", "catalog", "serialize", "cli")
+
+
+def count_calls(mp, *names):
+    """Count calls of the functions named "module.function", wherever a gpd
+    module refers to them (callers that did `from .algebra import f` too)."""
+    modules = [importlib.import_module(f"gpd.{m}") for m in MODULES]
+    counts = Counter()
+    for name in names:
+        mod_name, attr = name.split(".")
+        original = getattr(importlib.import_module(f"gpd.{mod_name}"), attr)
+        counted = _counted(original, name, counts)
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    mp.setattr(mod, key, counted)
+    return counts
+
+
+def _counted(fn, name, counts):
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture(scope="module")
+def catalog_all():
+    """One counted `catalog --all --json` run: exit code, stdout, counts."""
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_calls(
+            mp,
+            "algebra.concrete_algebra",
+            "algebra.block_structure",
+            "cartan.cartan_report",
+            "catalog.build",
+        )
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["catalog", "--all", "--json"])
+    return rc, buf.getvalue(), dict(counts)
+
+
+def test_catalog_all_matches_the_stored_report(catalog_all):
+    # The three floats of the C*-identity probe may differ in the last bits
+    # between BLAS builds; everything else must match exactly. The gap is
+    # rounding noise around zero, so it also gets an absolute tolerance far
+    # below the probe's own acceptance bound of 1e-9 * (1 + norm^2).
+    rc, text, _ = catalog_all
+    assert rc == 0
+    got, want = json.loads(text), json.loads(STORED.read_text(encoding="utf-8"))
+    assert [e["entry"] for e in got["entries"]] == [e["entry"] for e in want["entries"]]
+    for g, w in zip(got["entries"], want["entries"]):
+        gc, wc = g["algebra"].pop("cstar_identity"), w["algebra"].pop("cstar_identity")
+        gap_tol = 1e-12 * (1.0 + wc["norm"] ** 2)
+        for key in ("norm", "norm_of_star_times_self"):
+            assert math.isclose(gc.pop(key), wc.pop(key), rel_tol=1e-9), (g["entry"], key)
+        assert math.isclose(gc.pop("gap"), wc.pop("gap"), rel_tol=1e-9, abs_tol=gap_tol), g["entry"]
+        assert gc == wc, g["entry"]
+    assert got == want
+
+
+def test_catalog_all_computes_each_analysis_once(catalog_all):
+    # 11 entries plus three companion models (rotation's trivial bundle,
+    # fourier's dual, cocycle_klein untwisted): 14 algebras, each split once;
+    # pair reports for the 11 entries and the rotation companion.
+    _, _, counts = catalog_all
+    assert counts == {
+        "algebra.concrete_algebra": 14,
+        "algebra.block_structure": 14,
+        "cartan.cartan_report": 12,
+        "catalog.build": 11,
+    }
+
+
+def test_pipeline_splits_the_blocks_once(monkeypatch):
+    bundle = catalog.build("pair", {"k": 4})
+    g, haar, sigma = bundle["groupoid"], bundle["haar"], bundle["sigma"]
+    counts = count_calls(
+        monkeypatch, "algebra.block_structure", "algebra._simple_blocks", "cartan.cartan_report"
+    )
+    alg = A.concrete_algebra(g, sigma=sigma, haar=haar)
+    structure = A.block_structure(alg)
+    rep = C.cartan_report(g, sigma, haar, A.cc_space(g))
+    uep = C.uep_report(g, sigma, haar, alg, rep)
+    rel, _ = C.weyl_relation(alg)
+    assert counts == {
+        "algebra.block_structure": 1,
+        "algebra._simple_blocks": 1,
+        "cartan.cartan_report": 1,
+    }
+    assert uep["block_sizes"] == structure["sizes"] == (4,)
+    assert C.orbit_class_sizes(rel) == (4,)
