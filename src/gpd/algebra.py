@@ -12,6 +12,12 @@ constraints are vacuous and the space is the full function space.
 Convolution, involution, and regular representations follow the standard
 fiberwise formulas, optionally twisted by a 2-cocycle; everything except
 operator norms and eigenvalue clustering is computed exactly.
+
+The exact work on the represented algebra runs on sparse blocks: one
+{row: {col: QC}} dict of nonzero entries per orbit, flattened to
+{coordinate: QC} rows for `qlin.Echelon`. Dense block matrices are built
+only for API callers (`ConcreteAlgebra.basis_blocks`, `closed_blocks`),
+and complex matrices only at the float boundary of block splitting.
 """
 
 from __future__ import annotations
@@ -274,6 +280,92 @@ def star(f: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
     return AlgebraElement(gpd, _prune(out))
 
 
+# A sparse block is {row: {col: QC}}, the nonzero entries of one orbit's
+# matrix; an element of the represented algebra is a tuple of them, one
+# per orbit, and `shapes` gives each block's size.
+
+
+def _rep_block(g: Groupoid, fiber: Sequence[str], f: AlgebraElement, haar, sigma) -> dict:
+    """The nonzero entries of `regular_rep` on the source fiber `fiber`:
+    entry [gamma, eta], with gamma = mid * eta, for each support arrow mid
+    of f composable with eta, so only f's support is visited."""
+    pos = {a: i for i, a in enumerate(fiber)}
+    by_source: dict[str, list] = {}
+    for mid, v in f.coeffs.items():
+        if v:
+            by_source.setdefault(g.s[mid], []).append((mid, v))
+    w = haar.weight if haar is not None else None
+    out: dict[int, dict[int, QC]] = {}
+    for j, eta in enumerate(fiber):
+        for mid, val in by_source.get(g.r[eta], ()):
+            if w is not None:
+                val = val * qc(w[g.inv[eta]])
+            if sigma is not None:
+                val = val * sigma.value(mid, eta)
+            out.setdefault(pos[g.comp[(mid, eta)]], {})[j] = val
+    return out
+
+
+def _block_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, arow in a.items():
+        acc: dict[int, QC] = {}
+        for t, f in arow.items():
+            for j, x in b.get(t, {}).items():
+                y = acc.get(j)
+                acc[j] = f * x if y is None else y + f * x
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    return tuple(_block_mul(x, y) for x, y in zip(a, b))
+
+
+def _adjoint(blocks: tuple, weight_diags) -> tuple:
+    """Adjoint for the weighted fiber inner products: D^-1 M^H D per block."""
+    out = []
+    for blk, dw in zip(blocks, weight_diags):
+        adj: dict[int, dict[int, QC]] = {}
+        for j, row in blk.items():
+            for i, v in row.items():
+                adj.setdefault(i, {})[j] = v.conj() * qc(Fraction(dw[j]) / Fraction(dw[i]))
+        out.append(adj)
+    return tuple(out)
+
+
+def _coords(blocks: tuple, shapes: Sequence[int]) -> dict[int, QC]:
+    """The nonzero entries at their positions in the row-major flattening
+    of the blocks, one block after another."""
+    out = {}
+    at = 0
+    for blk, n in zip(blocks, shapes):
+        for i, row in blk.items():
+            base = at + i * n
+            for j, v in row.items():
+                out[base + j] = v
+        at += n * n
+    return out
+
+
+def _dense_block(blk: dict, n: int) -> list[list[QC]]:
+    return [[blk.get(i, {}).get(j, ZERO) for j in range(n)] for i in range(n)]
+
+
+def _to_dense(blocks: tuple, shapes: Sequence[int]) -> tuple:
+    return tuple(_dense_block(blk, n) for blk, n in zip(blocks, shapes))
+
+
+def _from_dense(blocks) -> tuple:
+    out = []
+    for blk in blocks:
+        rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(blk))
+        out.append({i: row for i, row in rows if row})
+    return tuple(out)
+
+
 def regular_rep(
     g: Groupoid,
     x: str,
@@ -290,21 +382,7 @@ def regular_rep(
         raise UnknownPoint(f"{x!r} is not a unit point")
     _same_groupoid(f, haar, sigma)
     fiber = g.s_fiber.get(x, ())
-    w = haar.weight if haar is not None else None
-    rows: list[list[QC]] = []
-    for gamma in fiber:
-        row = []
-        for eta in fiber:
-            mid = g.comp[(gamma, g.inv[eta])]
-            val = f.value(mid)
-            if val:
-                if w is not None:
-                    val = val * qc(w[g.inv[eta]])
-                if sigma is not None:
-                    val = val * sigma.value(mid, eta)
-            row.append(val)
-        rows.append(row)
-    return fiber, rows
+    return fiber, _dense_block(_rep_block(g, fiber, f, haar, sigma), len(fiber))
 
 
 def _fiber_weights(g: Groupoid, fiber: Sequence[str], haar: HaarSystem | None):
@@ -341,54 +419,16 @@ def reduced_norm(
     return best
 
 
-def _mat_mul(a: list[list[QC]], b: list[list[QC]]) -> list[list[QC]]:
-    n = len(a)
-    k = len(b)
-    cols = len(b[0]) if b else 0
-    out = [[ZERO] * cols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            f = ai[t]
-            if not f:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(cols):
-                if bt[j]:
-                    row[j] = row[j] + f * bt[j]
-    return out
-
-
-def _blocks_mul(a: Sequence[list[list[QC]]], b: Sequence[list[list[QC]]]):
-    return tuple(_mat_mul(x, y) for x, y in zip(a, b))
-
-
-def _blocks_flatten(blocks: Sequence[list[list[QC]]]) -> list[QC]:
-    return [x for blk in blocks for row in blk for x in row]
-
-
-def _blocks_weighted_adjoint(blocks, weight_diags):
-    """Adjoint for the weighted fiber inner products: D^-1 M^H D per block."""
-    out = []
-    for blk, dw in zip(blocks, weight_diags):
-        n = len(blk)
-        adj = [
-            [blk[j][i].conj() * qc(Fraction(dw[j]) / Fraction(dw[i])) for j in range(n)]
-            for i in range(n)
-        ]
-        out.append(adj)
-    return tuple(out)
-
-
 @dataclass(eq=False)
 class ConcreteAlgebra:
     """Block-matrix realization of the admissible function space.
 
-    One regular representation per orbit is kept; `basis_blocks` are the
-    images of the cc basis (a faithful copy of the span), `closed_blocks`
-    additionally close that span under products — the finite-dimensional
-    stand-in for completion. The simple-block structure of `closed_blocks`
+    One regular representation per orbit is kept; `sparse_basis` holds the
+    images of the cc basis (a faithful copy of the span), `sparse_closed`
+    additionally closes that span under products — the finite-dimensional
+    stand-in for completion. Both are tuples of sparse blocks;
+    `basis_blocks` and `closed_blocks` give them as dense QC matrices,
+    built on each access. The simple-block structure of the closed algebra
     is computed once, by the first `block_structure` call, and kept.
     """
 
@@ -398,8 +438,8 @@ class ConcreteAlgebra:
     cc: CcSpace
     orbit_reps: tuple[str, ...]
     fibers: Mapping[str, tuple[str, ...]]
-    basis_blocks: list
-    closed_blocks: list
+    sparse_basis: list
+    sparse_closed: list
     _structure: dict | None = field(default=None, repr=False)
 
     @property
@@ -414,20 +454,33 @@ class ConcreteAlgebra:
         return tuple(len(self.fibers[x]) for x in self.orbit_reps)
 
     @property
+    def basis_blocks(self) -> list:
+        shapes = self.block_shapes
+        return [_to_dense(b, shapes) for b in self.sparse_basis]
+
+    @property
+    def closed_blocks(self) -> list:
+        shapes = self.block_shapes
+        return [_to_dense(b, shapes) for b in self.sparse_closed]
+
+    @property
     def span_dim(self) -> int:
-        return len(self.basis_blocks)
+        return len(self.sparse_basis)
 
     @property
     def dim(self) -> int:
-        return len(self.closed_blocks)
+        return len(self.sparse_closed)
 
     @property
     def is_closed_span(self) -> bool:
         return self.span_dim == self.dim
 
-    def represent(self, f: AlgebraElement):
+    def represent(self, f: AlgebraElement) -> tuple:
+        """The regular representation of f on every orbit, as sparse blocks
+        (`regular_rep` gives one orbit's block as a dense matrix)."""
+        _same_groupoid(f, self.haar, self.sigma)
         return tuple(
-            regular_rep(self.groupoid, x, f, self.haar, self.sigma)[1]
+            _rep_block(self.groupoid, self.fibers[x], f, self.haar, self.sigma)
             for x in self.orbit_reps
         )
 
@@ -447,29 +500,30 @@ def concrete_algebra(
     cc = cc_space(g)
     reps = tuple(orb[0] for orb in orbits(g))
     fibers = {x: g.s_fiber.get(x, ()) for x in reps}
-    basis_blocks = []
+    shapes = [len(fibers[x]) for x in reps]
+    basis = []
     span = Echelon()
     for f in cc.basis:
-        blocks = tuple(regular_rep(g, x, f, haar, sigma)[1] for x in reps)
-        if not span.add(_blocks_flatten(blocks)):
+        blocks = tuple(_rep_block(g, fibers[x], f, haar, sigma) for x in reps)
+        if not span.add(_coords(blocks, shapes)):
             raise InvariantViolation("representation must be faithful on the admissible space")
-        basis_blocks.append(blocks)
+        basis.append(blocks)
 
-    closed = list(basis_blocks)
-    closure = Echelon()
-    for blocks in closed:
-        closure.add(_blocks_flatten(blocks))
+    # Semi-naive closure: every pair of closed[:old] was multiplied in an
+    # earlier round, and the span only grows, so a round multiplies just the
+    # pairs (i, j) that involve an element added in the round before.
+    closed = list(basis)
+    old = 0
     while True:
-        grew = False
-        current = list(closed)
-        for a in current:
-            for b in current:
-                p = _blocks_mul(a, b)
-                if closure.add(_blocks_flatten(p)):
+        current = len(closed)
+        for i in range(current):
+            for j in range(old if i < old else 0, current):
+                p = _mul(closed[i], closed[j])
+                if span.add(_coords(p, shapes)):
                     closed.append(p)
-                    grew = True
-        if not grew:
+        if len(closed) == current:
             break
+        old = current
     return ConcreteAlgebra(
         groupoid=g,
         haar=haar,
@@ -477,8 +531,8 @@ def concrete_algebra(
         cc=cc,
         orbit_reps=reps,
         fibers=fibers,
-        basis_blocks=basis_blocks,
-        closed_blocks=closed,
+        sparse_basis=basis,
+        sparse_closed=closed,
     )
 
 
@@ -509,12 +563,13 @@ def block_structure(algebra: ConcreteAlgebra, basis_blocks=None) -> dict:
     the conjugated central elements, and sizes each simple block by the rank
     of the restricted algebra. Returns sizes plus the per-block subspaces.
     The closed algebra is analysed once and the result kept on `algebra`;
-    explicit `basis_blocks` are analysed afresh on every call.
+    explicit `basis_blocks` (dense, as `ConcreteAlgebra.basis_blocks` gives
+    them) are analysed afresh on every call.
     """
     if basis_blocks is not None:
-        return _simple_blocks(algebra, basis_blocks)
+        return _simple_blocks(algebra, [_from_dense(b) for b in basis_blocks])
     if algebra._structure is None:
-        algebra._structure = _simple_blocks(algebra, algebra.closed_blocks)
+        algebra._structure = _simple_blocks(algebra, algebra.sparse_closed)
     return algebra._structure
 
 
@@ -524,34 +579,39 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
     if not basis:
         return {"sizes": (), "subspaces": [], "conjugated": []}
     weight_diags = algebra.weight_diags()
+    shapes = algebra.block_shapes
 
     span = Echelon()
     for blocks in basis:
-        span.add(_blocks_flatten(blocks))
+        span.add(_coords(blocks, shapes))
+    # products[i][j]: the coordinates of basis[i] * basis[j]
+    products = []
     for a in basis:
-        if not span.contains(_blocks_flatten(_blocks_weighted_adjoint(a, weight_diags))):
+        if not span.contains(_coords(_adjoint(a, weight_diags), shapes)):
             raise NotClosed("subspace is not closed under the involution")
+        row = []
         for b in basis:
-            if not span.contains(_blocks_flatten(_blocks_mul(a, b))):
+            p = _coords(_mul(a, b), shapes)
+            if not span.contains(p):
                 raise NotClosed("subspace is not closed under multiplication")
+            row.append(p)
+        products.append(row)
 
     k = len(basis)
-    flat_len = len(_blocks_flatten(basis[0]))
     commut_rows = []
     for j in range(k):
-        diffs = [
-            _blocks_flatten(
-                tuple(
-                    [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(p, q)]
-                    for p, q in zip(_blocks_mul(basis[i], basis[j]), _blocks_mul(basis[j], basis[i]))
-                )
-            )
-            for i in range(k)
-        ]
-        for coord in range(flat_len):
-            row = [diffs[i][coord] for i in range(k)]
-            if any(row):
-                commut_rows.append(row)
+        diffs = []
+        for i in range(k):
+            d = dict(products[i][j])
+            for c, x in products[j][i].items():
+                y = d.get(c, ZERO) - x
+                if y:
+                    d[c] = y
+                else:
+                    del d[c]
+            diffs.append(d)
+        for coord in sorted(set().union(*diffs)):
+            commut_rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
     center_coeffs = nullspace(commut_rows, ncols=k)
 
     sqrt_w = _sqrt_weights(algebra)
@@ -578,6 +638,11 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
             kept.append(q)
     if sum(n * n for n in sizes) != k:
         raise InvariantViolation("block sizes must account for the dimension")
+    if len(sizes) != len(center_coeffs):
+        raise InvariantViolation(
+            f"the eigen split found {len(sizes)} blocks, "
+            f"but the exact center has dimension {len(center_coeffs)}"
+        )
     return {"sizes": tuple(sizes), "subspaces": kept, "conjugated": conj_basis}
 
 
@@ -588,17 +653,21 @@ def _sqrt_weights(algebra: ConcreteAlgebra):
 
 
 def _conjugated(blocks, sqrt_w):
-    """The blocks as one complex block-diagonal matrix, conjugated by the
+    """Sparse blocks as one complex block-diagonal matrix, conjugated by the
     square-root weights so that the weighted adjoint becomes the conjugate
     transpose."""
     import numpy as np
 
-    total = sum(len(blk) for blk in blocks)
+    total = sum(len(d) for d in sqrt_w)
     out = np.zeros((total, total), dtype=complex)
     at = 0
     for blk, d in zip(blocks, sqrt_w):
-        n = len(blk)
-        out[at : at + n, at : at + n] = (d[:, None] * to_complex_matrix(blk)) / d[None, :]
+        n = len(d)
+        m = np.zeros((n, n), dtype=complex)
+        for i, row in blk.items():
+            for j, x in row.items():
+                m[i, j] = x.to_complex()
+        out[at : at + n, at : at + n] = (d[:, None] * m) / d[None, :]
         at += n
     return out
 

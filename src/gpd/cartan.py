@@ -32,9 +32,8 @@ from .algebra import (
     CcSpace,
     Cocycle,
     ConcreteAlgebra,
-    _blocks_flatten,
-    _blocks_mul,
     _conjugated,
+    _mul,
     _numeric_rank,
     _sqrt_weights,
     _topology_constraints,
@@ -497,14 +496,9 @@ def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
     images = [algebra.represent(idem) for _, idem in spectrum]
     pairs = []
     for i, pi in enumerate(images):
+        left = [pm for pm in (_mul(pi, m) for m in algebra.sparse_closed) if any(pm)]
         for j, pj in enumerate(images):
-            connected = False
-            for m in algebra.closed_blocks:
-                prod = _blocks_mul(_blocks_mul(pi, m), pj)
-                if any(_blocks_flatten(prod)):
-                    connected = True
-                    break
-            if connected:
+            if any(any(_mul(pm, pj)) for pm in left):
                 pairs.append((labels[i], labels[j]))
     space = make_space(labels, {x: {x} for x in labels})
     return relation_groupoid(space, pairs, "product", name="weyl relation")

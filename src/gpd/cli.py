@@ -153,6 +153,7 @@ def _parse_params(pairs) -> dict:
 
 def _analyze_report(an: Analysis) -> dict:
     g, flags = an.groupoid, an.classify
+    iso = {x: isotropy(g, x) for x in sorted(g.units.points)}
     return {
         "name": g.name,
         "points": sorted(g.units.points),
@@ -165,11 +166,8 @@ def _analyze_report(an: Analysis) -> dict:
         "trivial_isotropy_points": sorted(flags["trivial_isotropy_points"]),
         "orbits": sorted(sorted(orbit) for orbit in flags["orbits"]),
         "isotropy": {
-            x: {
-                "order": isotropy(g, x)["order"],
-                "arrows": sorted(isotropy(g, x)["arrows"]),
-            }
-            for x in sorted(g.units.points)
+            x: {"order": h["order"], "arrows": sorted(h["arrows"])}
+            for x, h in iso.items()
         },
     }
 

@@ -5,12 +5,17 @@ not depend on floating-point tolerances (they flip discrete answers), so all
 of them are reduced to the routines here, which run on fractions.Fraction
 pairs. Floating point enters the package only through to_complex(), at the
 norm/spectral boundary.
+
+Elimination is sparse: `Echelon` keeps each reduced row as a {column: QC}
+dict of its nonzero entries, and `rref`, `rank`, `nullspace` and `solve` all
+run through it, so their cost follows the nonzero entries, not the width of
+the rows. A row may be given as a dense sequence or as such a dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "QC",
@@ -33,8 +38,8 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     def __add__(self, other: "QC") -> "QC":
         return QC(self.re + other.re, self.im + other.im)
@@ -112,62 +117,69 @@ def qc(value: int | Fraction | QC) -> QC:
 
 Row = list
 Mat = list
+# A sparse row: its nonzero entries by column.
+Sparse = dict
 
 
 def _copy(rows: Iterable[Sequence[QC]]) -> Mat:
     return [list(r) for r in rows]
 
 
+def _sparse(vec: Sequence[QC] | Mapping[int, QC]) -> Sparse:
+    """The nonzero entries of a dense or sparse row, as a fresh dict."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if x}
+
+
+def _dense(row: Mapping[int, QC], ncols: int) -> Row:
+    return [row.get(c, ZERO) for c in range(ncols)]
+
+
+def _echelon(rows: Iterable[Sequence[QC] | Mapping[int, QC]]) -> "Echelon":
+    span = Echelon()
+    for row in rows:
+        span.add(row)
+    return span
+
+
 def rref(rows: Iterable[Sequence[QC]]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    m = _copy(rows)
+    m = list(rows)
     if not m:
         return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    ncols = len(m[0])
+    span = _echelon(m)
+    pivots = sorted(span.row_of)
+    return [_dense(span.row_of[p], ncols) for p in pivots], pivots
 
 
 def rank(rows: Iterable[Sequence[QC]]) -> int:
-    return len(rref(rows)[1])
+    return _echelon(rows).rank
 
 
-def nullspace(rows: Iterable[Sequence[QC]], ncols: int | None = None) -> Mat:
-    """Basis of the right kernel, one vector per free column."""
-    m = _copy(rows)
+def nullspace(rows: Iterable[Sequence[QC] | Mapping[int, QC]], ncols: int | None = None) -> Mat:
+    """Basis of the right kernel, one vector per free column.
+
+    Sparse rows carry no width, so `ncols` must be given with them."""
+    m = list(rows)
     if not m:
         if ncols is None:
             return []
         return [[ONE if j == k else ZERO for j in range(ncols)] for k in range(ncols)]
-    n = len(m[0])
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: Mat = []
+    n = ncols if isinstance(m[0], dict) else len(m[0])
+    span = _echelon(m)
+    basis = {}
     for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][free]
-        basis.append(v)
-    return basis
+        if free not in span.row_of:
+            basis[free] = [ZERO] * n
+            basis[free][free] = ONE
+    # A reduced row is zero at every other pivot, so its other nonzero
+    # columns are all free.
+    for pc, row in span.row_of.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def solve(a_rows: Iterable[Sequence[QC]], b: Sequence[QC]) -> Row | None:
@@ -179,13 +191,12 @@ def solve(a_rows: Iterable[Sequence[QC]], b: Sequence[QC]) -> Row | None:
     if not a:
         return [] if not any(b) else None
     n = len(a[0])
-    aug = [row + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if n in pivots:
+    span = _echelon(row + [b[i]] for i, row in enumerate(a))
+    if n in span.row_of:
         return None
     x = [ZERO] * n
-    for ri, pc in enumerate(pivots):
-        x[pc] = red[ri][n]
+    for pc, row in span.row_of.items():
+        x[pc] = row.get(n, ZERO)
     return x
 
 
@@ -239,42 +250,73 @@ class Echelon:
     """Incrementally maintained reduced row space.
 
     Cheaper than re-running rref when many membership queries hit the same
-    growing span (function-space constraints, algebra closures).
+    growing span (function-space constraints, algebra closures). Each row is
+    a {column: QC} dict of its nonzero entries, with a 1 at its pivot (the
+    lowest nonzero column) and zeros at every other row's pivot. `row_of`
+    maps each pivot to its row, in insertion order.
     """
 
     def __init__(self):
-        self.rows: list[Row] = []
-        self.pivots: list[int] = []
+        self.row_of: dict[int, Sparse] = {}
+
+    @property
+    def rows(self) -> list[Sparse]:
+        return list(self.row_of.values())
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self.row_of)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.row_of)
 
-    def residual(self, vec: Sequence[QC]) -> Row:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
+    def residual(self, vec: Sequence[QC] | Mapping[int, QC]) -> Sparse:
+        """The nonzero entries of vec minus its projection on the span.
+
+        The rows are fully reduced, so the coefficient of each pivot row is
+        the vector's own entry at that pivot, and only the pivot rows the
+        vector hits are subtracted."""
+        v = _sparse(vec)
+        row_of = self.row_of
+        for p in [c for c in v if c in row_of]:
+            f = v.pop(p)
+            for c, x in row_of[p].items():
+                if c == p:
+                    continue
+                y = v.get(c)
+                if y is None:
+                    v[c] = -(f * x)
+                else:
+                    y = y - f * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
         return v
 
-    def contains(self, vec: Sequence[QC]) -> bool:
-        return not any(self.residual(vec))
+    def contains(self, vec: Sequence[QC] | Mapping[int, QC]) -> bool:
+        return not self.residual(vec)
 
-    def add(self, vec: Sequence[QC]) -> bool:
+    def add(self, vec: Sequence[QC] | Mapping[int, QC]) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self.residual(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+        if not v:
             return False
+        p = min(v)
         pv = v[p]
-        v = [x / pv for x in v]
-        for row in self.rows:
-            f = row[p]
+        if pv != ONE:
+            v = {c: x / pv for c, x in v.items()}
+        for row in self.row_of.values():
+            f = row.get(p)
             if f:
-                row[:] = [a - f * b for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(p)
+                for c, x in v.items():
+                    y = row.get(c, ZERO) - f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+        self.row_of[p] = v
         return True
 
 

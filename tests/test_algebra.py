@@ -22,9 +22,11 @@ from gpd.algebra import (
     vector_element,
     zero_element,
 )
+from gpd import algebra, catalog
 from gpd.errors import (
     GroupoidMismatch,
     InvalidCocycle,
+    InvariantViolation,
     NotClosed,
     UnknownPoint,
 )
@@ -337,6 +339,17 @@ def test_block_structure_rejects_non_closed_span(a1):
     with pytest.raises(NotClosed):
         block_structure(alg, basis_blocks=alg.basis_blocks)
     assert alg._structure is None  # the failed control leaves nothing behind
+
+
+def test_block_count_is_checked_against_the_exact_center(monkeypatch):
+    # An eigen split that separates nothing leaves the untwisted Klein
+    # algebra (four 1x1 blocks) as one 4-dimensional subspace, on which the
+    # algebra has rank 4: a plausible single 2x2 block with the right total
+    # dimension. Only the exact center, of dimension 4, exposes it.
+    alg = catalog.build("cocycle_klein")["extras"]["untwisted"].algebra
+    monkeypatch.setattr(algebra, "_split_by_hermitian", lambda subspaces, h: subspaces)
+    with pytest.raises(InvariantViolation, match="center has dimension 4"):
+        block_structure(alg)
 
 
 def test_block_structure_is_kept_on_the_algebra(a1):

@@ -13,7 +13,7 @@ from gpd.cartan import (
     uep_report,
     weyl_relation,
 )
-from gpd.errors import NotMasa, WrongShape
+from gpd.errors import GroupoidMismatch, NotMasa, WrongShape
 from gpd.groupoid import classify, pair_groupoid
 
 
@@ -209,6 +209,14 @@ def test_extension_counts_unique_for_principal_models(a3, a4, pair3):
         uep = uep_report(model["g"], None, model["haar"])
         assert set(uep["counts"].values()) == {1}
         assert uep["all_unique"] and uep["diagonal"]
+
+
+def test_extension_counts_reject_an_algebra_over_another_groupoid():
+    g1, haar1 = pair_groupoid(["0", "1"], name="left")
+    g2, haar2 = pair_groupoid(["0", "1"], name="right")
+    report = cartan_report(g1, None, haar1)
+    with pytest.raises(GroupoidMismatch):
+        uep_report(g1, None, haar1, algebra=concrete_algebra(g2, haar=haar2), report=report)
 
 
 def test_extension_counts_need_a_masa(two_involutions, a2):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from gpd import catalog
+from gpd import catalog, cli
 from gpd.catalog import CatalogEntry
 from gpd.cli import main
+from gpd.groupoid import isotropy
 from gpd.serialize import cocycle_doc, groupoid_doc
 
 
@@ -121,6 +122,19 @@ def test_analyze_algebra_cartan_from_files(capsys, tmp_path, a2):
     assert rep["cartan"]["masa"] is True
     assert rep["cartan"]["masa_witness"] is None
     assert rep["diagonal"] is False
+
+
+def test_analyze_computes_each_isotropy_group_once(capsys, tmp_path, monkeypatch, a1):
+    calls = []
+
+    def counted(g, x):
+        calls.append(x)
+        return isotropy(g, x)
+
+    monkeypatch.setattr(cli, "isotropy", counted)
+    path = write_doc(tmp_path, "a1.json", groupoid_doc(a1["g"], a1["haar"]))
+    rep = run_json(capsys, "analyze", path)
+    assert sorted(calls) == sorted(a1["g"].units.points) == sorted(rep["isotropy"])
 
 
 def test_algebra_with_cocycle_file(capsys, tmp_path, klein):

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_qlin
 from gpd.qlin import (
     QC,
+    Echelon,
     hermitian_is_pd,
     hermitian_is_psd,
     in_span,
@@ -101,3 +103,69 @@ def test_gram_matrices_are_psd(rows):
     assert hermitian_is_psd(g)
     full_rank = rank(vecs) == len(vecs)
     assert hermitian_is_pd(g) == full_rank
+
+
+# Differential tests: the sparse kernel against the dense one it replaced
+# (tests/dense_qlin.py), on small Gaussian-rational matrices with zero rows,
+# repeated rows, and non-integer and imaginary parts.
+
+PARTS = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+ENTRIES = st.one_of(st.just(QC(0)), st.builds(QC, PARTS, PARTS))
+
+
+@st.composite
+def matrices(draw, ncols=None):
+    ncols = ncols if ncols is not None else draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "combination")))
+        if kind == "zero":
+            rows.append([QC(0)] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(ENTRIES)
+            rows.append([x + f * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
+    return ncols, rows
+
+
+def dense(row, ncols):
+    return [row.get(c, QC(0)) for c in range(ncols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_matches_the_dense_kernel(drawn, data):
+    ncols, rows = drawn
+    assert rref(rows) == dense_qlin.rref(rows)
+    assert rank(rows) == dense_qlin.rank(rows)
+    assert nullspace(rows, ncols) == dense_qlin.nullspace(rows, ncols)
+    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    assert nullspace(sparse_rows, ncols) == dense_qlin.nullspace(rows, ncols)
+    b = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    assert solve(rows, b) == dense_qlin.solve(rows, b)
+    target = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    if rows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        target = [sum((c * r[i] for c, r in zip(coeffs, rows)), QC(0)) for i in range(ncols)]
+    assert in_span(rows, target) == dense_qlin.in_span(rows, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_echelon_matches_the_dense_kernel(drawn, data):
+    ncols, rows = drawn
+    new, old = Echelon(), dense_qlin.Echelon()
+    for row in rows:
+        assert new.add(row) == old.add(row)
+        assert new.pivots == old.pivots
+        assert new.rank == old.rank
+        assert [dense(r, ncols) for r in new.rows] == old.rows
+    probes = data.draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), max_size=4))
+    for vec in probes + rows:
+        assert dense(new.residual(vec), ncols) == old.residual(vec)
+        assert new.contains(vec) == old.contains(vec)
+        assert new.contains({c: x for c, x in enumerate(vec) if x}) == old.contains(vec)

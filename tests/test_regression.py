@@ -4,6 +4,7 @@ reports one run computes."""
 
 import contextlib
 import functools
+import hashlib
 import importlib
 import io
 import json
@@ -113,3 +114,22 @@ def test_pipeline_splits_the_blocks_once(monkeypatch):
     }
     assert uep["block_sizes"] == structure["sizes"] == (4,)
     assert C.orbit_class_sizes(rel) == (4,)
+
+
+CLOSED_BASES = pathlib.Path(__file__).parent / "data" / "closed_bases.json"
+
+
+def test_closed_bases_match_the_stored_digests():
+    # The closure appends products in a fixed order and every entry is
+    # exact, so the dense closed blocks hash to the same digest as when
+    # tests/data/closed_bases.json was stored. cross_a1 and cross_a2 grow
+    # under the closure (8 -> 10, 7 -> 9); the others are closed spans.
+    for want in json.loads(CLOSED_BASES.read_text(encoding="utf-8")):
+        alg = catalog.build(want["entry"], want["params"])["analysis"].algebra
+        quads = [
+            [[[x.as_quad() for x in row] for row in blk] for blk in blocks]
+            for blocks in alg.closed_blocks
+        ]
+        text = json.dumps(quads, separators=(",", ":"))
+        got = {"span_dim": alg.span_dim, "dim": alg.dim, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        assert got == {k: want[k] for k in got}, want["entry"]

@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import gpd
 
@@ -18,3 +21,13 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported where floats enter (norms, block splitting), so
+    # start-up and the exact paths never pay for it.
+    src = str(pathlib.Path(gpd.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gpd.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
