@@ -139,6 +139,13 @@ def element_vector(f: AlgebraElement) -> list[QC]:
     return [f.value(a) for a in f.groupoid.arrows]
 
 
+def _arrow_coords(f: AlgebraElement) -> dict[int, QC]:
+    """f as a sparse arrow vector: its values by position in `arrows`, over
+    its support only (`element_vector` is the dense form)."""
+    idx = f.groupoid.arrow_index
+    return {idx[a]: v for a, v in f.coeffs.items()}
+
+
 def vector_element(g: Groupoid, vec: Sequence[QC]) -> AlgebraElement:
     return AlgebraElement(g, _prune({a: vec[i] for i, a in enumerate(g.arrows)}))
 
@@ -158,12 +165,12 @@ class CcSpace:
     def contains(self, f: AlgebraElement) -> bool:
         if f.groupoid is not self.groupoid:
             raise GroupoidMismatch("element over a different groupoid")
-        return self._span.contains(element_vector(f))
+        return self._span.contains(_arrow_coords(f))
 
 
 def _topology_constraints(g: Groupoid) -> list[list[QC]]:
     """Linear constraint rows over the arrow coordinates (sorted arrow order)."""
-    idx = {a: i for i, a in enumerate(g.arrows)}
+    idx = g.arrow_index
     n = len(g.arrows)
     rows: list[list[QC]] = []
     seen: set[tuple] = set()

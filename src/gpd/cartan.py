@@ -32,6 +32,7 @@ from .algebra import (
     CcSpace,
     Cocycle,
     ConcreteAlgebra,
+    _arrow_coords,
     _conjugated,
     _mul,
     _numeric_rank,
@@ -41,7 +42,6 @@ from .algebra import (
     concrete_algebra,
     convolve,
     delta,
-    element_vector,
     make_element,
     star,
     vector_element,
@@ -92,19 +92,13 @@ class UnitSubalgebra:
     def contains(self, f: AlgebraElement) -> bool:
         if f.groupoid is not self.groupoid:
             raise GroupoidMismatch("element over a different groupoid")
-        return self._span.contains(element_vector(f))
+        return self._span.contains(_arrow_coords(f))
 
 
 def unit_subalgebra(g: Groupoid) -> UnitSubalgebra:
-    rows = _topology_constraints(g)
     units = g.unit_arrow_set
-    n = len(g.arrows)
-    for i, a in enumerate(g.arrows):
-        if a not in units:
-            row = [ZERO] * n
-            row[i] = ONE
-            rows.append(row)
-    vectors = nullspace(rows, ncols=n)
+    rows = _topology_constraints(g) + [{i: ONE} for i, a in enumerate(g.arrows) if a not in units]
+    vectors = nullspace(rows, ncols=len(g.arrows))
     span = Echelon()
     for v in vectors:
         span.add(v)
@@ -167,6 +161,10 @@ def minimal_idempotents(
 
 @dataclass(eq=False)
 class CartanReport:
+    """The four conditions for the pair (A, B); `units` is the B they were
+    tested on."""
+
+    units: UnitSubalgebra
     contains_unit: bool
     unit_element: AlgebraElement | None
     masa: bool
@@ -187,16 +185,14 @@ def _commutant_check(
 ) -> tuple[int, AlgebraElement | None]:
     """Dimension of the commutant of B inside the admissible span, and an
     element of it outside B (None exactly when B is maximal abelian)."""
-    rows: list[list[QC]] = []
+    rows: list[dict[int, QC]] = []
     for bj in b.basis:
         diffs = [
-            element_vector(convolve(mi, bj, haar, sigma) - convolve(bj, mi, haar, sigma))
+            _arrow_coords(convolve(mi, bj, haar, sigma) - convolve(bj, mi, haar, sigma))
             for mi in cc.basis
         ]
-        for coord in range(len(g.arrows)):
-            row = [d[coord] for d in diffs]
-            if any(row):
-                rows.append(row)
+        for coord in sorted(set().union(*diffs)):
+            rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
     commutant = nullspace(rows, ncols=cc.dim)
     for coeff_vec in commutant:
         f = zero_element(g)
@@ -323,19 +319,21 @@ def cartan_report(
     b = unit_subalgebra(g)
 
     # Condition 1: an element of B acting as a two-sided identity on the span.
+    # An equation sum_j c_j (b_j m)(x) = m(x) is 0 = 0 off the supports.
     cols = len(b.basis)
     rows: list[list[QC]] = []
     rhs: list[QC] = []
     for m in cc.basis:
-        mv = element_vector(m)
-        left = [element_vector(convolve(bj, m, haar, sigma)) for bj in b.basis]
-        right = [element_vector(convolve(m, bj, haar, sigma)) for bj in b.basis]
-        for coord in range(len(g.arrows)):
+        mv = _arrow_coords(m)
+        left = [_arrow_coords(convolve(bj, m, haar, sigma)) for bj in b.basis]
+        right = [_arrow_coords(convolve(m, bj, haar, sigma)) for bj in b.basis]
+        for coord in sorted(set(mv).union(*left, *right)):
+            target = mv.get(coord, ZERO)
             for side in (left, right):
-                row = [side[j][coord] for j in range(cols)]
-                if any(row) or mv[coord]:
+                row = [v.get(coord, ZERO) for v in side]
+                if any(row) or target:
                     rows.append(row)
-                    rhs.append(mv[coord])
+                    rhs.append(target)
     coeffs = solve(rows, rhs) if cols else None
     unit_element = None
     if coeffs is not None:
@@ -349,15 +347,18 @@ def cartan_report(
     masa = masa_witness is None
 
     # Condition 3: bisection-supported normalizers spanning the admissible space.
+    # A candidate already in the span reached could not enlarge it, so it is
+    # skipped before the normalizer test.
     family: list[AlgebraElement] = []
     reached = Echelon()
     for cand in _bisection_candidates(g, cc, sigma):
         if not cand.coeffs or not _support_in_open_bisection(g, cand):
             continue
-        if not _normalizes(cand, b, haar, sigma):
+        v = _arrow_coords(cand)
+        if reached.contains(v) or not _normalizes(cand, b, haar, sigma):
             continue
-        if reached.add(element_vector(cand)):
-            family.append(cand)
+        reached.add(v)
+        family.append(cand)
     regular = "verified" if reached.rank == cc.dim else "not verified"
 
     # Condition 4: restriction to units as a conditional expectation.
@@ -373,6 +374,7 @@ def cartan_report(
         and bool(expectation["faithful"])
     )
     return CartanReport(
+        units=b,
         contains_unit=contains_unit,
         unit_element=unit_element,
         masa=masa,
@@ -449,7 +451,9 @@ def uep_report(
     Count = number of simple blocks meeting the image of the spectrum point's
     idempotent when every block rank is 0/1; a rank vector is reported
     instead when some block rank exceeds 1. Requires B maximal abelian.
-    The block structure is the one `algebra` keeps (see `block_structure`).
+    The block structure is the one `algebra` keeps (see `block_structure`),
+    and B is the one `report` was computed on; a report over another
+    groupoid raises GroupoidMismatch.
     """
     haar = haar if haar is not None else HaarSystem.counting(g)
     algebra = (
@@ -458,9 +462,11 @@ def uep_report(
         else concrete_algebra(g, sigma=sigma, haar=haar)
     )
     report = report if report is not None else cartan_report(g, sigma, haar, algebra.cc)
+    b = report.units
+    if b.groupoid is not g:
+        raise GroupoidMismatch("the pair report is over a different groupoid")
     if not report.masa:
         raise NotMasa("extension counting needs a maximal abelian unit subalgebra")
-    b = unit_subalgebra(g)
     structure = algebra.structure
     counts: dict[str, object] = {}
     for pts, idem in minimal_idempotents(b, haar):
@@ -514,11 +520,11 @@ class Analysis:
     """Every answer about one (groupoid, Haar system, cocycle), each computed
     on first use and kept.
 
-    `classify`, `algebra`, `units` and `cartan` hold the results of
-    `classify`, `concrete_algebra`, `unit_subalgebra` and `cartan_report`;
-    `uep` holds the result of `uep_report` and, like it, raises NotMasa
-    when the unit subalgebra is not maximal abelian. The Haar system
-    defaults to counting measure.
+    `classify`, `algebra` and `cartan` hold the results of `classify`,
+    `concrete_algebra` and `cartan_report`; `units` is the unit subalgebra
+    `cartan` was computed on; `uep` holds the result of `uep_report` and,
+    like it, raises NotMasa when the unit subalgebra is not maximal
+    abelian. The Haar system defaults to counting measure.
     """
 
     def __init__(
@@ -539,9 +545,9 @@ class Analysis:
     def algebra(self) -> ConcreteAlgebra:
         return concrete_algebra(self.groupoid, sigma=self.sigma, haar=self.haar)
 
-    @cached_property
+    @property
     def units(self) -> UnitSubalgebra:
-        return unit_subalgebra(self.groupoid)
+        return self.cartan.units
 
     @cached_property
     def cartan(self) -> CartanReport:

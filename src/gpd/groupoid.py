@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -66,6 +67,11 @@ class Groupoid:
     @property
     def unit_arrow_set(self) -> frozenset[str]:
         return frozenset(self.unit_arrow.values())
+
+    @cached_property
+    def arrow_index(self) -> Mapping[str, int]:
+        """Position of each arrow in `arrows`: the coordinates of arrow vectors."""
+        return {a: i for i, a in enumerate(self.arrows)}
 
 
 

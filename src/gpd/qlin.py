@@ -2,9 +2,11 @@
 
 Rank, span, commutant, and positivity decisions elsewhere in the package must
 not depend on floating-point tolerances (they flip discrete answers), so all
-of them are reduced to the routines here, which run on fractions.Fraction
-pairs. Floating point enters the package only through to_complex(), at the
-norm/spectral boundary.
+of them are reduced to the routines here. Their scalar, `QC`, is a Gaussian
+rational (a + b*i) / d stored as three ints in lowest terms, so arithmetic
+is integer arithmetic plus at most one gcd; `re` and `im` give the parts as
+fractions.Fraction. Floating point enters the package only through
+to_complex(), at the norm/spectral boundary.
 
 Elimination is sparse: `Echelon` keeps each reduced row as a {column: QC}
 dict of its nonzero entries, and `rref`, `rank`, `nullspace` and `solve` all
@@ -15,6 +17,7 @@ the rows. A row may be given as a dense sequence or as such a dict.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -33,73 +36,141 @@ __all__ = [
 
 
 class QC:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational (a + b*i) / d, stored as three ints.
 
-    __slots__ = ("re", "im")
+    The denominator is positive and gcd(a, b, d) == 1, so the form is
+    unique and equality is equality of the triples. `re` and `im` give the
+    parts as Fractions; hashes, text and floats are those of that Fraction
+    pair.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        # ints and Fractions both carry reduced numerator/denominator pairs;
+        # over the lcm of the denominators the triple is already reduced.
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:
+            d = q * s // gcd(q, s)
+            self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            if d == 1:
+                return _qc(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        e = other.d
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
+        d = self.d
+        if d == other.d:
+            if d == 1:
+                return _qc(self.a - other.a, self.b - other.b, 1)
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        e = other.d
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
+        return _qc(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "QC") -> "QC":
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            re, im = a * c - b * e, a * e + b * c
+        else:
+            re, im = a * c, 0
+        d = self.d * other.d
+        if d == 1:
+            return _qc(re, im, 1)
+        return _reduced(re, im, d)
 
     def __truediv__(self, other: "QC") -> "QC":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QC(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        f = other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def conj(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _qc(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QC) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, QC)
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
+        )
 
     def __hash__(self) -> int:
+        # An int hashes like the Fraction of the same value.
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:
-        if self.im == 0:
+        if self.b == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float() of a Fraction is.
+        return complex(self.a / self.d, self.b / self.d)
 
     def as_quad(self) -> list[int]:
         """Serialization form [re_num, re_den, im_num, im_den]."""
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
+        d = self.d
+        g = gcd(self.a, d)
+        h = gcd(self.b, d)
+        return [self.a // g, d // g, self.b // h, d // h]
 
     @staticmethod
     def from_quad(quad: Sequence[int]) -> "QC":
         return QC(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
+
+
+_new = object.__new__
+
+
+def _qc(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i) / d of a triple already in reduced form."""
+    x = _new(QC)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i) / d, for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _qc(a // g, b // g, d // g)
+    return _qc(a, b, d)
 
 
 ZERO = QC(0)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gpd import cartan
 from gpd.algebra import concrete_algebra, convolve, delta, make_element, zero_element
 from gpd.cartan import (
     Analysis,
@@ -217,6 +218,26 @@ def test_extension_counts_reject_an_algebra_over_another_groupoid():
     report = cartan_report(g1, None, haar1)
     with pytest.raises(GroupoidMismatch):
         uep_report(g1, None, haar1, algebra=concrete_algebra(g2, haar=haar2), report=report)
+
+
+def test_extension_counts_reuse_the_reports_unit_subalgebra(a1, monkeypatch):
+    alg = algebra_of(a1)
+    rep = report_of(a1, alg)
+    calls = []
+    original = cartan.unit_subalgebra
+    monkeypatch.setattr(cartan, "unit_subalgebra", lambda g: calls.append(g) or original(g))
+    uep = uep_report(a1["g"], a1["sigma"], a1["haar"], alg, rep)
+    assert calls == []
+    assert uep["counts"]["0"] == 2
+    assert Analysis(a1["g"], a1["haar"]).units.dim == rep.units.dim == 5
+
+
+def test_extension_counts_reject_a_report_over_another_groupoid():
+    g1, haar1 = pair_groupoid(["0", "1"], name="left")
+    g2, haar2 = pair_groupoid(["0", "1"], name="right")
+    report = cartan_report(g2, None, haar2)
+    with pytest.raises(GroupoidMismatch):
+        uep_report(g1, None, haar1, algebra=concrete_algebra(g1, haar=haar1), report=report)
 
 
 def test_extension_counts_need_a_masa(two_involutions, a2):

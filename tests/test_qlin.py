@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_qlin
+import fraction_qc
 from gpd.qlin import (
     QC,
     Echelon,
@@ -169,3 +171,72 @@ def test_echelon_matches_the_dense_kernel(drawn, data):
         assert dense(new.residual(vec), ncols) == old.residual(vec)
         assert new.contains(vec) == old.contains(vec)
         assert new.contains({c: x for c, x in enumerate(vec) if x}) == old.contains(vec)
+
+
+# Differential test of the scalar: the three-int QC against the Fraction-pair
+# QC it replaced (tests/fraction_qc.py). Parts are drawn as numerator and
+# denominator pairs, so they come zero, negative, non-reduced (a common
+# factor in both) and large, and reach the constructor as ints or Fractions.
+
+SMALL = st.integers(-12, 12)
+LARGE = st.integers(-(2**80), 2**80)
+
+
+@st.composite
+def scalar_parts(draw):
+    num = draw(st.one_of(st.just(0), SMALL, LARGE))
+    if draw(st.booleans()):
+        return num
+    den = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**80)))
+    common = draw(st.sampled_from((1, 1, 2, 6, 2**40)))
+    sign = draw(st.sampled_from((1, -1)))
+    return Fraction(num * common, sign * den * common)
+
+
+@st.composite
+def scalar_pairs(draw):
+    re, im = draw(scalar_parts()), draw(scalar_parts())
+    return QC(re, im), fraction_qc.QC(re, im)
+
+
+def same(new, ref):
+    """The same value, seen every way a caller can see it."""
+    assert type(new) is QC
+    assert (new.re, new.im) == (ref.re, ref.im)
+    assert type(new.re) is Fraction and type(new.im) is Fraction
+    assert new.as_quad() == ref.as_quad()
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    assert bool(new) == bool(ref)
+    assert new.to_complex() == ref.to_complex()
+    assert new.abs2() == ref.abs2()
+    assert QC.from_quad(new.as_quad()) == new
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs(), scalar_pairs())
+def test_qc_matches_the_fraction_pair_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    same(a, ra)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(a * b, ra * rb)
+    same(-a, -ra)
+    same(a.conj(), ra.conj())
+    assert (a == b) == (ra == rb)
+    assert a == QC(ra.re, ra.im) and not (a != QC(ra.re, ra.im))
+    assert (a == b) == (a.as_quad() == b.as_quad())
+    if rb:
+        same(a / b, ra / rb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            ra / rb
+
+
+def test_qc_accepts_what_fraction_accepts():
+    for re, im in ((0.5, 0), ("2/3", -1), (True, False), (Decimal("1.25"), Fraction(-3, 4)), (7, "1/9")):
+        same(QC(re, im), fraction_qc.QC(re, im))
+    assert not hasattr(QC(1), "__dict__")
+    assert not any(isinstance(getattr(QC(Fraction(1, 2), 3), slot), Fraction) for slot in QC.__slots__)

@@ -9,11 +9,15 @@ import importlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import gpd
 from gpd import algebra as A
 from gpd import cartan as C
 from gpd import catalog, cli
@@ -64,13 +68,11 @@ def catalog_all():
     return rc, buf.getvalue(), dict(counts)
 
 
-def test_catalog_all_matches_the_stored_report(catalog_all):
+def assert_matches_the_stored_report(text):
     # The three floats of the C*-identity probe may differ in the last bits
     # between BLAS builds; everything else must match exactly. The gap is
     # rounding noise around zero, so it also gets an absolute tolerance far
     # below the probe's own acceptance bound of 1e-9 * (1 + norm^2).
-    rc, text, _ = catalog_all
-    assert rc == 0
     got, want = json.loads(text), json.loads(STORED.read_text(encoding="utf-8"))
     assert [e["entry"] for e in got["entries"]] == [e["entry"] for e in want["entries"]]
     for g, w in zip(got["entries"], want["entries"]):
@@ -81,6 +83,31 @@ def test_catalog_all_matches_the_stored_report(catalog_all):
         assert math.isclose(gc.pop("gap"), wc.pop("gap"), rel_tol=1e-9, abs_tol=gap_tol), g["entry"]
         assert gc == wc, g["entry"]
     assert got == want
+
+
+def test_catalog_all_matches_the_stored_report(catalog_all):
+    rc, text, _ = catalog_all
+    assert rc == 0
+    assert_matches_the_stored_report(text)
+
+
+def test_catalog_all_matches_the_stored_report_under_python_O():
+    # `python -O` strips assert statements, so no invariant of the package
+    # may rest on one: the optimised interpreter must give the same report.
+    script = (
+        "import sys\n"
+        "from gpd import cli\n"
+        "if sys.flags.optimize != 1:\n"
+        "    sys.exit(3)\n"
+        "sys.exit(cli.main(['catalog', '--all', '--json']))\n"
+    )
+    src = str(pathlib.Path(gpd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert_matches_the_stored_report(done.stdout)
 
 
 def test_catalog_all_computes_each_analysis_once(catalog_all):
@@ -133,3 +160,32 @@ def test_closed_bases_match_the_stored_digests():
         text = json.dumps(quads, separators=(",", ":"))
         got = {"span_dim": alg.span_dim, "dim": alg.dim, "sha256": hashlib.sha256(text.encode()).hexdigest()}
         assert got == {k: want[k] for k in got}, want["entry"]
+
+
+CARTAN_REPORTS = pathlib.Path(__file__).parent / "data" / "cartan_reports.json"
+
+
+def _quads(f):
+    return None if f is None else [[a, f.coeffs[a].as_quad()] for a in sorted(f.coeffs)]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_cartan_reports_match_the_stored_digests():
+    # The JSON report shows only the verdicts of each pair report; the unit
+    # element, the regular family (in order) and the masa witness are pinned
+    # here by the sha256 of their exact coefficients, stored in
+    # tests/data/cartan_reports.json for every catalog entry.
+    stored = json.loads(CARTAN_REPORTS.read_text(encoding="utf-8"))
+    assert [want["entry"] for want in stored] == catalog.names()
+    for want in stored:
+        rep = catalog.build(want["entry"])["analysis"].cartan
+        got = {
+            "entry": want["entry"],
+            "unit_element": _digest(_quads(rep.unit_element)),
+            "regular_family": _digest([_quads(f) for f in rep.regular_family]),
+            "masa_witness": _digest(_quads(rep.masa_witness)),
+        }
+        assert got == want
