@@ -15,9 +15,9 @@ operator norms and eigenvalue clustering is computed exactly.
 
 The exact work on the represented algebra runs on sparse blocks: one
 {row: {col: QC}} dict of nonzero entries per orbit, flattened to
-{coordinate: QC} rows for `qlin.Echelon`. Dense block matrices are built
-only for API callers (`ConcreteAlgebra.basis_blocks`, `closed_blocks`),
-and complex matrices only at the float boundary of block splitting.
+{coordinate: QC} rows for `qlin.Echelon`. The only dense exact matrix is
+the one `regular_rep` returns; complex matrices are built only at the float
+boundary, where blocks are split and norms taken (`_conjugated`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     UnknownPoint,
 )
 from .groupoid import Groupoid, HaarSystem, orbits
-from .qlin import ONE, QC, ZERO, Echelon, nullspace, qc, to_complex_matrix
+from .qlin import ONE, QC, ZERO, Echelon, nullspace, qc
 
 __all__ = [
     "AlgebraElement",
@@ -152,7 +152,10 @@ def vector_element(g: Groupoid, vec: Sequence[QC]) -> AlgebraElement:
 
 @dataclass(eq=False)
 class CcSpace:
-    """The admissible function subspace, as an explicit basis."""
+    """A subspace of arrow functions cut out by linear constraints, as an
+    explicit basis: the admissible functions (`cc_space`) or the admissible
+    functions supported on unit arrows (`cartan.unit_subalgebra`, the B of
+    the pair)."""
 
     groupoid: Groupoid
     basis: tuple[AlgebraElement, ...]
@@ -168,19 +171,17 @@ class CcSpace:
         return self._span.contains(_arrow_coords(f))
 
 
-def _topology_constraints(g: Groupoid) -> list[list[QC]]:
-    """Linear constraint rows over the arrow coordinates (sorted arrow order)."""
+def _topology_constraints(g: Groupoid) -> list[dict[int, QC]]:
+    """Linear constraint rows as {arrow index: QC} (sorted arrow order)."""
     idx = g.arrow_index
-    n = len(g.arrows)
-    rows: list[list[QC]] = []
-    seen: set[tuple] = set()
+    rows: list[dict[int, QC]] = []
+    seen: set[frozenset] = set()
 
-    def emit(eta: str, cluster: list[str], summed: bool) -> None:
-        row = [ZERO] * n
-        row[idx[eta]] = ONE
-        for gamma in cluster:
-            row[idx[gamma]] = row[idx[gamma]] - ONE
-        key = tuple((i, (x.re, x.im)) for i, x in enumerate(row) if x)
+    def emit(eta: str, cluster: list[str]) -> None:
+        # eta is not in its cluster, and a cluster names each arrow once
+        row = {idx[eta]: ONE}
+        row.update((idx[gamma], -ONE) for gamma in cluster)
+        key = frozenset(row.items())
         if key not in seen:
             seen.add(key)
             rows.append(row)
@@ -193,22 +194,25 @@ def _topology_constraints(g: Groupoid) -> list[list[QC]]:
                     clusters.setdefault(vmap[gamma], []).append(gamma)
             for cluster in clusters.values():
                 if len(cluster) >= 2:
-                    emit(eta, cluster, summed=True)
+                    emit(eta, cluster)
                 elif len(cluster) == 1:
                     gamma = cluster[0]
                     if g.r[gamma] == g.s[gamma] and g.r[eta] != g.s[eta]:
-                        emit(eta, cluster, summed=False)
+                        emit(eta, cluster)
     return rows
 
 
-def cc_space(g: Groupoid) -> CcSpace:
-    rows = _topology_constraints(g)
+def _kernel_space(g: Groupoid, rows: list[dict[int, QC]]) -> CcSpace:
+    """The arrow functions on which every constraint row vanishes."""
     vectors = nullspace(rows, ncols=len(g.arrows))
-    basis = tuple(vector_element(g, v) for v in vectors)
     span = Echelon()
     for v in vectors:
         span.add(v)
-    return CcSpace(groupoid=g, basis=basis, _span=span)
+    return CcSpace(groupoid=g, basis=tuple(vector_element(g, v) for v in vectors), _span=span)
+
+
+def cc_space(g: Groupoid) -> CcSpace:
+    return _kernel_space(g, _topology_constraints(g))
 
 
 @dataclass(eq=False)
@@ -361,18 +365,6 @@ def _dense_block(blk: dict, n: int) -> list[list[QC]]:
     return [[blk.get(i, {}).get(j, ZERO) for j in range(n)] for i in range(n)]
 
 
-def _to_dense(blocks: tuple, shapes: Sequence[int]) -> tuple:
-    return tuple(_dense_block(blk, n) for blk, n in zip(blocks, shapes))
-
-
-def _from_dense(blocks) -> tuple:
-    out = []
-    for blk in blocks:
-        rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(blk))
-        out.append({i: row for i, row in rows if row})
-    return tuple(out)
-
-
 def regular_rep(
     g: Groupoid,
     x: str,
@@ -406,22 +398,22 @@ def reduced_norm(
     """Largest operator norm of the regular representations over all units.
 
     The fiber inner product weights each basis arrow by the Haar mass of its
-    inverse, so the matrix is conjugated by the square-root weight diagonal
-    before taking the largest singular value.
+    inverse, so each block is conjugated by the square-root weight diagonal
+    (`_conjugated`, as block splitting does) before taking the largest
+    singular value.
     """
     import numpy as np
 
-    g = f.groupoid
+    g = _same_groupoid(f, haar, sigma)
     best = 0.0
     for x in g.units.points:
-        fiber, rows = regular_rep(g, x, f, haar, sigma)
+        fiber = g.s_fiber.get(x, ())
         if not fiber:
             continue
-        m = to_complex_matrix(rows)
-        weights = _fiber_weights(g, fiber, haar)
-        if any(w != 1 for w in weights):
-            d = np.sqrt(np.array([float(w) for w in weights]))
-            m = (d[:, None] * m) / d[None, :]
+        m = _conjugated(
+            (_rep_block(g, fiber, f, haar, sigma),),
+            _sqrt_weights([_fiber_weights(g, fiber, haar)]),
+        )
         best = max(best, float(np.linalg.norm(m, 2)))
     return best
 
@@ -433,10 +425,10 @@ class ConcreteAlgebra:
     One regular representation per orbit is kept; `sparse_basis` holds the
     images of the cc basis (a faithful copy of the span), `sparse_closed`
     additionally closes that span under products — the finite-dimensional
-    stand-in for completion. Both are tuples of sparse blocks;
-    `basis_blocks` and `closed_blocks` give them as dense QC matrices,
-    built on each access. The simple-block structure of the closed algebra
-    is computed once, by the first `block_structure` call, and kept.
+    stand-in for completion. Both are lists of elements, each a tuple of
+    sparse blocks, one per orbit, sized by `block_shapes`. The simple-block
+    structure of the closed algebra is computed once, by the first
+    `block_structure` call, and kept.
     """
 
     groupoid: Groupoid
@@ -459,16 +451,6 @@ class ConcreteAlgebra:
     @property
     def block_shapes(self) -> tuple[int, ...]:
         return tuple(len(self.fibers[x]) for x in self.orbit_reps)
-
-    @property
-    def basis_blocks(self) -> list:
-        shapes = self.block_shapes
-        return [_to_dense(b, shapes) for b in self.sparse_basis]
-
-    @property
-    def closed_blocks(self) -> list:
-        shapes = self.block_shapes
-        return [_to_dense(b, shapes) for b in self.sparse_closed]
 
     @property
     def span_dim(self) -> int:
@@ -562,7 +544,7 @@ def _split_by_hermitian(subspaces, h):
     return out
 
 
-def block_structure(algebra: ConcreteAlgebra, basis_blocks=None) -> dict:
+def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
     """Simple-block analysis of a product-closed matrix algebra.
 
     Validates closure under products and the (weighted) adjoint, computes the
@@ -570,11 +552,12 @@ def block_structure(algebra: ConcreteAlgebra, basis_blocks=None) -> dict:
     the conjugated central elements, and sizes each simple block by the rank
     of the restricted algebra. Returns sizes plus the per-block subspaces.
     The closed algebra is analysed once and the result kept on `algebra`;
-    explicit `basis_blocks` (dense, as `ConcreteAlgebra.basis_blocks` gives
-    them) are analysed afresh on every call.
+    an explicit `basis` (elements as sparse blocks, as
+    `ConcreteAlgebra.sparse_basis` holds them) is analysed afresh on every
+    call.
     """
-    if basis_blocks is not None:
-        return _simple_blocks(algebra, [_from_dense(b) for b in basis_blocks])
+    if basis is not None:
+        return _simple_blocks(algebra, basis)
     if algebra._structure is None:
         algebra._structure = _simple_blocks(algebra, algebra.sparse_closed)
     return algebra._structure
@@ -621,7 +604,7 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
             commut_rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
     center_coeffs = nullspace(commut_rows, ncols=k)
 
-    sqrt_w = _sqrt_weights(algebra)
+    sqrt_w = _sqrt_weights(weight_diags)
     conj_basis = [_conjugated(b, sqrt_w) for b in basis]
     total = conj_basis[0].shape[0]
     subspaces = [np.eye(total, dtype=complex)]
@@ -653,10 +636,10 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
     return {"sizes": tuple(sizes), "subspaces": kept, "conjugated": conj_basis}
 
 
-def _sqrt_weights(algebra: ConcreteAlgebra):
+def _sqrt_weights(weight_diags):
     import numpy as np
 
-    return [np.sqrt(np.array([float(w) for w in dw])) for dw in algebra.weight_diags()]
+    return [np.sqrt(np.array([float(w) for w in dw])) for dw in weight_diags]
 
 
 def _conjugated(blocks, sqrt_w):
@@ -688,10 +671,10 @@ def _numeric_rank(m) -> int:
     return int((svals > cut).sum())
 
 
-def block_decomposition(algebra: ConcreteAlgebra, basis_blocks=None) -> tuple[int, ...]:
+def block_decomposition(algebra: ConcreteAlgebra, basis=None) -> tuple[int, ...]:
     """Multiset of simple-block sizes, largest first."""
-    if basis_blocks is None:
+    if basis is None:
         sizes = algebra.structure["sizes"]
     else:
-        sizes = block_structure(algebra, basis_blocks)["sizes"]
+        sizes = block_structure(algebra, basis)["sizes"]
     return tuple(sorted(sizes, reverse=True))

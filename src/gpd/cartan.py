@@ -2,7 +2,8 @@
 
 The pair under study is (A, B): A the represented convolution algebra of a
 finite topological groupoid (optionally twisted, optionally weighted) and B
-its unit subalgebra — the admissible functions supported on unit arrows.
+its unit subalgebra — the admissible functions supported on unit arrows, a
+`CcSpace` like the admissible space itself.
 The four classical conditions are tested in their exact finite forms:
 
 1. B contains a two-sided identity for the admissible span.
@@ -34,6 +35,7 @@ from .algebra import (
     ConcreteAlgebra,
     _arrow_coords,
     _conjugated,
+    _kernel_space,
     _mul,
     _numeric_rank,
     _sqrt_weights,
@@ -44,7 +46,6 @@ from .algebra import (
     delta,
     make_element,
     star,
-    vector_element,
     zero_element,
 )
 from .errors import GroupoidMismatch, NotMasa, WrongShape
@@ -65,7 +66,6 @@ from .qlin import (
 
 __all__ = [
     "Analysis",
-    "UnitSubalgebra",
     "CartanReport",
     "unit_subalgebra",
     "minimal_idempotents",
@@ -77,36 +77,11 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class UnitSubalgebra:
-    """Admissible functions supported on unit arrows."""
-
-    groupoid: Groupoid
-    basis: tuple[AlgebraElement, ...]
-    _span: Echelon
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, f: AlgebraElement) -> bool:
-        if f.groupoid is not self.groupoid:
-            raise GroupoidMismatch("element over a different groupoid")
-        return self._span.contains(_arrow_coords(f))
-
-
-def unit_subalgebra(g: Groupoid) -> UnitSubalgebra:
+def unit_subalgebra(g: Groupoid) -> CcSpace:
+    """B: the admissible functions supported on unit arrows."""
     units = g.unit_arrow_set
-    rows = _topology_constraints(g) + [{i: ONE} for i, a in enumerate(g.arrows) if a not in units]
-    vectors = nullspace(rows, ncols=len(g.arrows))
-    span = Echelon()
-    for v in vectors:
-        span.add(v)
-    return UnitSubalgebra(
-        groupoid=g,
-        basis=tuple(vector_element(g, v) for v in vectors),
-        _span=span,
-    )
+    off_units = [{i: ONE} for i, a in enumerate(g.arrows) if a not in units]
+    return _kernel_space(g, _topology_constraints(g) + off_units)
 
 
 def _unit_weight(g: Groupoid, haar: HaarSystem, x: str) -> Fraction:
@@ -114,7 +89,7 @@ def _unit_weight(g: Groupoid, haar: HaarSystem, x: str) -> Fraction:
 
 
 def minimal_idempotents(
-    b: UnitSubalgebra, haar: HaarSystem | None = None
+    b: CcSpace, haar: HaarSystem | None = None
 ) -> list[tuple[tuple[str, ...], AlgebraElement]]:
     """Spectrum of the commutative algebra B as (point class, idempotent) pairs.
 
@@ -164,7 +139,7 @@ class CartanReport:
     """The four conditions for the pair (A, B); `units` is the B they were
     tested on."""
 
-    units: UnitSubalgebra
+    units: CcSpace
     contains_unit: bool
     unit_element: AlgebraElement | None
     masa: bool
@@ -179,7 +154,7 @@ class CartanReport:
 def _commutant_check(
     g: Groupoid,
     cc: CcSpace,
-    b: UnitSubalgebra,
+    b: CcSpace,
     haar: HaarSystem,
     sigma: Cocycle | None,
 ) -> tuple[int, AlgebraElement | None]:
@@ -219,7 +194,7 @@ def _support_in_open_bisection(g: Groupoid, f: AlgebraElement) -> bool:
 
 def _normalizes(
     a: AlgebraElement,
-    b: UnitSubalgebra,
+    b: CcSpace,
     haar: HaarSystem,
     sigma: Cocycle | None,
 ) -> bool:
@@ -258,7 +233,7 @@ def _bisection_candidates(
 def _expectation_flags(
     g: Groupoid,
     cc: CcSpace,
-    b: UnitSubalgebra,
+    b: CcSpace,
     haar: HaarSystem,
     sigma: Cocycle | None,
 ) -> dict:
@@ -281,24 +256,33 @@ def _expectation_flags(
         restrict(restrict(m)) == restrict(m) for m in cc.basis
     ) and all(restrict(bj) == bj for bj in b.basis)
 
+    # E(f*·f)(x) sums over the source fibre G_x, so the Gram matrix at x
+    # needs only the basis elements meeting G_x, restricted to it. The
+    # elements that miss G_x would add zero rows and columns, which change
+    # neither the positivity verdict nor `total`.
     k = cc.dim
     total = [[ZERO] * k for _ in range(k)]
     positive = True
-    star_basis = [star(m, sigma) for m in cc.basis]
-    products = [
-        [convolve(star_basis[j], cc.basis[i], haar, sigma) for i in range(k)]
-        for j in range(k)
-    ]
+    # fibre_parts[x][i]: the values of basis element i on G_x
+    fibre_parts: dict[str, dict[int, dict[str, QC]]] = {}
+    for i, m in enumerate(cc.basis):
+        for a, v in m.coeffs.items():
+            fibre_parts.setdefault(g.s[a], {}).setdefault(i, {})[a] = v
     for x in g.units.points:
         u = g.unit_arrow[x]
-        h = [[products[j][i].value(u) for i in range(k)] for j in range(k)]
+        meeting = fibre_parts.get(x, {})
+        parts = [AlgebraElement(g, c) for c in meeting.values()]
+        h = [
+            [convolve(pj_star, pi, haar, sigma).value(u) for pi in parts]
+            for pj_star in (star(pj, sigma) for pj in parts)
+        ]
         if positive and not hermitian_is_psd(h):
             positive = False
         wx = qc(_unit_weight(g, haar, x))
-        for j in range(k):
-            for i in range(k):
-                if h[j][i]:
-                    total[j][i] = total[j][i] + wx * h[j][i]
+        for j, hj in zip(meeting, h):
+            for i, v in zip(meeting, hj):
+                if v:
+                    total[j][i] = total[j][i] + wx * v
     faithful = positive and hermitian_is_pd(total)
     return {
         "well_defined": True,
@@ -435,7 +419,7 @@ def _per_block_ranks(
     structure: dict,
     f: AlgebraElement,
 ) -> list[int]:
-    big = _conjugated(algebra.represent(f), _sqrt_weights(algebra))
+    big = _conjugated(algebra.represent(f), _sqrt_weights(algebra.weight_diags()))
     return [_numeric_rank(q.conj().T @ big @ q) for q in structure["subspaces"]]
 
 
@@ -486,17 +470,26 @@ def uep_report(
     }
 
 
+_WEYL_NEEDS_MASA = "reconstruction needs a maximal abelian unit subalgebra"
+
+
 def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
     """Rebuild the orbit relation from the algebra pair alone.
 
     Spectrum points of B become the unit space; two points are related when
     some element of the closed algebra connects their idempotents
     (p_i * m * p_j != 0 exactly). Returns a discrete relation groupoid.
+    Given only the algebra, B is built and its commutant checked here;
+    `Analysis.weyl` reuses the ones its pair report has.
     """
     g = algebra.groupoid
     b = unit_subalgebra(g)
     if _commutant_check(g, algebra.cc, b, algebra.haar, algebra.sigma)[1] is not None:
-        raise NotMasa("reconstruction needs a maximal abelian unit subalgebra")
+        raise NotMasa(_WEYL_NEEDS_MASA)
+    return _reconstruct(algebra, b)
+
+
+def _reconstruct(algebra: ConcreteAlgebra, b: CcSpace) -> tuple[Groupoid, HaarSystem]:
     spectrum = minimal_idempotents(b, algebra.haar)
     labels = [min(pts) for pts, _ in spectrum]
     images = [algebra.represent(idem) for _, idem in spectrum]
@@ -522,8 +515,9 @@ class Analysis:
 
     `classify`, `algebra` and `cartan` hold the results of `classify`,
     `concrete_algebra` and `cartan_report`; `units` is the unit subalgebra
-    `cartan` was computed on; `uep` holds the result of `uep_report` and,
-    like it, raises NotMasa when the unit subalgebra is not maximal
+    `cartan` was computed on; `uep` holds the result of `uep_report` and
+    `weyl` that of `weyl_relation`, from `algebra` and `units`; both, like
+    those functions, raise NotMasa when the unit subalgebra is not maximal
     abelian. The Haar system defaults to counting measure.
     """
 
@@ -546,7 +540,7 @@ class Analysis:
         return concrete_algebra(self.groupoid, sigma=self.sigma, haar=self.haar)
 
     @property
-    def units(self) -> UnitSubalgebra:
+    def units(self) -> CcSpace:
         return self.cartan.units
 
     @cached_property
@@ -566,3 +560,9 @@ class Analysis:
         if isinstance(self._uep, str):
             raise NotMasa(self._uep)
         return self._uep
+
+    @cached_property
+    def weyl(self) -> tuple[Groupoid, HaarSystem]:
+        if not self.cartan.masa:
+            raise NotMasa(_WEYL_NEEDS_MASA)
+        return _reconstruct(self.algebra, self.units)

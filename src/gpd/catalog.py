@@ -611,8 +611,7 @@ def _build_pair(params: Mapping) -> dict:
     g, haar = pair_groupoid([str(i) for i in range(k)], name=f"pair({k})")
 
     def weyl_round_trip(b):
-        algebra = b["analysis"].algebra
-        rel, _ = _cartan.weyl_relation(algebra)
+        rel, _ = b["analysis"].weyl
         return _cartan.orbit_class_sizes(rel) == _cartan.orbit_class_sizes(b["groupoid"])
 
     manifest = [

@@ -337,7 +337,7 @@ def test_block_structure_consistency(a1):
 def test_block_structure_rejects_non_closed_span(a1):
     alg = concrete_algebra(a1["g"], haar=a1["haar"])
     with pytest.raises(NotClosed):
-        block_structure(alg, basis_blocks=alg.basis_blocks)
+        block_structure(alg, basis=alg.sparse_basis)
     assert alg._structure is None  # the failed control leaves nothing behind
 
 
@@ -357,8 +357,8 @@ def test_block_structure_is_kept_on_the_algebra(a1):
     first = block_structure(alg)
     assert block_structure(alg) is first
     assert alg.structure is first
-    # explicit basis blocks are analysed afresh and never replace the kept one
-    fresh = block_structure(alg, basis_blocks=alg.closed_blocks)
+    # an explicit basis is analysed afresh and never replaces the kept one
+    fresh = block_structure(alg, basis=alg.sparse_closed)
     assert fresh is not first and fresh["sizes"] == first["sizes"]
     assert block_structure(alg) is first
 

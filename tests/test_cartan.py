@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gpd import cartan
-from gpd.algebra import concrete_algebra, convolve, delta, make_element, zero_element
+from gpd.algebra import CcSpace, concrete_algebra, convolve, delta, make_element, zero_element
 from gpd.cartan import (
     Analysis,
     cartan_report,
@@ -31,6 +31,7 @@ def report_of(model, alg=None):
 
 
 def test_unit_subalgebra_dimensions(a1, a2, two_involutions, klein):
+    assert isinstance(unit_subalgebra(a1["g"]), CcSpace)
     assert unit_subalgebra(a1["g"]).dim == 5
     assert unit_subalgebra(a2["g"]).dim == 4
     assert unit_subalgebra(two_involutions["g"]).dim == 1
@@ -302,6 +303,32 @@ def test_weyl_reconstruction_needs_a_masa(two_involutions, a2):
         weyl_relation(algebra_of(two_involutions))
     with pytest.raises(NotMasa):
         weyl_relation(algebra_of(a2))
+
+
+def test_analysis_weyl_reuses_the_pair_report(a1, a3, pair3, monkeypatch):
+    analyses = [Analysis(m["g"], m["haar"], m["sigma"]) for m in (a1, a3, pair3)]
+    wants = [weyl_relation(an.algebra) for an in analyses]
+    for an in analyses:
+        an.cartan
+
+    def rebuilt(*args):
+        raise AssertionError("B or its commutant was computed again")
+
+    monkeypatch.setattr(cartan, "unit_subalgebra", rebuilt)
+    monkeypatch.setattr(cartan, "_commutant_check", rebuilt)
+    for an, (want, want_haar) in zip(analyses, wants):
+        rel, rel_haar = an.weyl
+        assert an.weyl is an.weyl
+        assert rel.arrows == want.arrows
+        assert [(rel.r[a], rel.s[a]) for a in rel.arrows] == [(want.r[a], want.s[a]) for a in want.arrows]
+        assert rel_haar.weight == want_haar.weight
+
+
+def test_analysis_weyl_needs_a_masa(two_involutions, a2):
+    for model in (two_involutions, a2):
+        an = Analysis(model["g"], model["haar"], model["sigma"])
+        with pytest.raises(NotMasa):
+            an.weyl
 
 
 def test_orbit_class_sizes_sorted_descending(pair3):

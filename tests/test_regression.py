@@ -21,6 +21,7 @@ import gpd
 from gpd import algebra as A
 from gpd import cartan as C
 from gpd import catalog, cli
+from gpd.qlin import ZERO
 
 STORED = pathlib.Path(__file__).parent / "data" / "catalog_all.json"
 MODULES = ("qlin", "finitetop", "groupoid", "germs", "algebra", "cartan", "catalog", "serialize", "cli")
@@ -60,6 +61,8 @@ def catalog_all():
             "algebra.concrete_algebra",
             "algebra.block_structure",
             "cartan.cartan_report",
+            "cartan.unit_subalgebra",
+            "cartan._commutant_check",
             "catalog.build",
         )
         buf = io.StringIO()
@@ -113,12 +116,16 @@ def test_catalog_all_matches_the_stored_report_under_python_O():
 def test_catalog_all_computes_each_analysis_once(catalog_all):
     # 11 entries plus three companion models (rotation's trivial bundle,
     # fourier's dual, cocycle_klein untwisted): 14 algebras, each split once;
-    # pair reports for the 11 entries and the rotation companion.
+    # pair reports for the 11 entries and the rotation companion, each
+    # building B and checking its commutant once, which pair's Weyl round
+    # trip reuses.
     _, _, counts = catalog_all
     assert counts == {
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
+        "cartan.unit_subalgebra": 12,
+        "cartan._commutant_check": 12,
         "catalog.build": 11,
     }
 
@@ -148,14 +155,18 @@ CLOSED_BASES = pathlib.Path(__file__).parent / "data" / "closed_bases.json"
 
 def test_closed_bases_match_the_stored_digests():
     # The closure appends products in a fixed order and every entry is
-    # exact, so the dense closed blocks hash to the same digest as when
-    # tests/data/closed_bases.json was stored. cross_a1 and cross_a2 grow
-    # under the closure (8 -> 10, 7 -> 9); the others are closed spans.
+    # exact, so the closed blocks, written out densely, hash to the same
+    # digest as when tests/data/closed_bases.json was stored. cross_a1 and
+    # cross_a2 grow under the closure (8 -> 10, 7 -> 9); the others are
+    # closed spans.
     for want in json.loads(CLOSED_BASES.read_text(encoding="utf-8")):
         alg = catalog.build(want["entry"], want["params"])["analysis"].algebra
         quads = [
-            [[[x.as_quad() for x in row] for row in blk] for blk in blocks]
-            for blocks in alg.closed_blocks
+            [
+                [[blk.get(i, {}).get(j, ZERO).as_quad() for j in range(n)] for i in range(n)]
+                for blk, n in zip(blocks, alg.block_shapes)
+            ]
+            for blocks in alg.sparse_closed
         ]
         text = json.dumps(quads, separators=(",", ":"))
         got = {"span_dim": alg.span_dim, "dim": alg.dim, "sha256": hashlib.sha256(text.encode()).hexdigest()}

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -31,3 +32,15 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     code = "import sys, gpd.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_exists():
+    # A name left in __all__ after its definition is deleted breaks
+    # `from gpd.<module> import *`.
+    modules = sorted(p.stem for p in pathlib.Path(gpd.__file__).parent.glob("*.py") if p.stem != "__init__")
+    missing = []
+    for name in modules:
+        mod = importlib.import_module(f"gpd.{name}")
+        missing += [f"{name}.{attr}" for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert len(modules) >= 10
+    assert missing == []
