@@ -13,11 +13,14 @@ Convolution, involution, and regular representations follow the standard
 fiberwise formulas, optionally twisted by a 2-cocycle; everything except
 operator norms and eigenvalue clustering is computed exactly.
 
-The exact work on the represented algebra runs on sparse blocks: one
-{row: {col: QC}} dict of nonzero entries per orbit, flattened to
-{coordinate: QC} rows for `qlin.Echelon`. The only dense exact matrix is
-the one `regular_rep` returns; complex matrices are built only at the float
-boundary, where blocks are split and norms taken (`_conjugated`).
+Every exact answer about the algebra is computed on arrow functions: the
+closure under products and the simple-block analysis convolve elements and
+read them as {arrow index: QC} rows for `qlin.Echelon`. The left regular
+representation over one unit per orbit is a faithful *-representation
+when the Haar system and the cocycle are validated, so these answers are
+those of the represented algebra. Its matrices are built only to check that
+faithfulness, for `regular_rep`, and at the float boundary, where blocks
+are split and norms taken (`_conjugated`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    AxiomViolation,
     GroupoidMismatch,
     InvalidCocycle,
     InvariantViolation,
@@ -292,8 +296,8 @@ def star(f: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
 
 
 # A sparse block is {row: {col: QC}}, the nonzero entries of one orbit's
-# matrix; an element of the represented algebra is a tuple of them, one
-# per orbit, and `shapes` gives each block's size.
+# matrix in the regular representation; `ConcreteAlgebra.represent` gives
+# a tuple of them, one per orbit, and `shapes` gives each block's size.
 
 
 def _rep_block(g: Groupoid, fiber: Sequence[str], f: AlgebraElement, haar, sigma) -> dict:
@@ -315,36 +319,6 @@ def _rep_block(g: Groupoid, fiber: Sequence[str], f: AlgebraElement, haar, sigma
                 val = val * sigma.value(mid, eta)
             out.setdefault(pos[g.comp[(mid, eta)]], {})[j] = val
     return out
-
-
-def _block_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for i, arow in a.items():
-        acc: dict[int, QC] = {}
-        for t, f in arow.items():
-            for j, x in b.get(t, {}).items():
-                y = acc.get(j)
-                acc[j] = f * x if y is None else y + f * x
-        acc = {j: v for j, v in acc.items() if v}
-        if acc:
-            out[i] = acc
-    return out
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    return tuple(_block_mul(x, y) for x, y in zip(a, b))
-
-
-def _adjoint(blocks: tuple, weight_diags) -> tuple:
-    """Adjoint for the weighted fiber inner products: D^-1 M^H D per block."""
-    out = []
-    for blk, dw in zip(blocks, weight_diags):
-        adj: dict[int, dict[int, QC]] = {}
-        for j, row in blk.items():
-            for i, v in row.items():
-                adj.setdefault(i, {})[j] = v.conj() * qc(Fraction(dw[j]) / Fraction(dw[i]))
-        out.append(adj)
-    return tuple(out)
 
 
 def _coords(blocks: tuple, shapes: Sequence[int]) -> dict[int, QC]:
@@ -420,15 +394,15 @@ def reduced_norm(
 
 @dataclass(eq=False)
 class ConcreteAlgebra:
-    """Block-matrix realization of the admissible function space.
+    """The admissible function space closed under convolution.
 
-    One regular representation per orbit is kept; `sparse_basis` holds the
-    images of the cc basis (a faithful copy of the span), `sparse_closed`
-    additionally closes that span under products — the finite-dimensional
-    stand-in for completion. Both are lists of elements, each a tuple of
-    sparse blocks, one per orbit, sized by `block_shapes`. The simple-block
-    structure of the closed algebra is computed once, by the first
-    `block_structure` call, and kept.
+    `closed` starts with the cc basis and appends the products that
+    enlarge its span, in the order the closure finds them — the
+    finite-dimensional stand-in for completion. Its elements are arrow
+    functions; `represent` gives their regular representation on one unit
+    per orbit (`orbit_reps`), as sparse blocks sized by `block_shapes`. The
+    simple-block structure of the closed algebra is computed once, by the
+    first `block_structure` call, and kept.
     """
 
     groupoid: Groupoid
@@ -437,8 +411,7 @@ class ConcreteAlgebra:
     cc: CcSpace
     orbit_reps: tuple[str, ...]
     fibers: Mapping[str, tuple[str, ...]]
-    sparse_basis: list
-    sparse_closed: list
+    closed: tuple[AlgebraElement, ...]
     _structure: dict | None = field(default=None, repr=False)
 
     @property
@@ -454,11 +427,11 @@ class ConcreteAlgebra:
 
     @property
     def span_dim(self) -> int:
-        return len(self.sparse_basis)
+        return self.cc.dim
 
     @property
     def dim(self) -> int:
-        return len(self.sparse_closed)
+        return len(self.closed)
 
     @property
     def is_closed_span(self) -> bool:
@@ -485,30 +458,37 @@ def concrete_algebra(
     sigma: Cocycle | None = None,
     haar: HaarSystem | None = None,
 ) -> ConcreteAlgebra:
+    """Close the admissible space under convolution. Only a validated Haar
+    system and cocycle make the regular representation a *-homomorphism;
+    others are rejected (AxiomViolation, InvalidCocycle)."""
     haar = haar if haar is not None else HaarSystem.counting(g)
+    if not haar.validated:
+        raise AxiomViolation("the algebra needs a validated Haar system")
+    if sigma is not None and not sigma.validated:
+        raise InvalidCocycle("the algebra needs a validated cocycle")
     cc = cc_space(g)
     reps = tuple(orb[0] for orb in orbits(g))
     fibers = {x: g.s_fiber.get(x, ()) for x in reps}
     shapes = [len(fibers[x]) for x in reps]
-    basis = []
+    faithful = Echelon()
     span = Echelon()
     for f in cc.basis:
         blocks = tuple(_rep_block(g, fibers[x], f, haar, sigma) for x in reps)
-        if not span.add(_coords(blocks, shapes)):
+        if not faithful.add(_coords(blocks, shapes)):
             raise InvariantViolation("representation must be faithful on the admissible space")
-        basis.append(blocks)
+        span.add(_arrow_coords(f))
 
     # Semi-naive closure: every pair of closed[:old] was multiplied in an
     # earlier round, and the span only grows, so a round multiplies just the
     # pairs (i, j) that involve an element added in the round before.
-    closed = list(basis)
+    closed = list(cc.basis)
     old = 0
     while True:
         current = len(closed)
         for i in range(current):
             for j in range(old if i < old else 0, current):
-                p = _mul(closed[i], closed[j])
-                if span.add(_coords(p, shapes)):
+                p = convolve(closed[i], closed[j], haar, sigma)
+                if span.add(_arrow_coords(p)):
                     closed.append(p)
         if len(closed) == current:
             break
@@ -520,8 +500,7 @@ def concrete_algebra(
         cc=cc,
         orbit_reps=reps,
         fibers=fibers,
-        sparse_basis=basis,
-        sparse_closed=closed,
+        closed=tuple(closed),
     )
 
 
@@ -545,21 +524,20 @@ def _split_by_hermitian(subspaces, h):
 
 
 def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
-    """Simple-block analysis of a product-closed matrix algebra.
+    """Simple-block analysis of a product-closed subalgebra.
 
-    Validates closure under products and the (weighted) adjoint, computes the
-    center exactly, splits the representation space into joint eigenspaces of
-    the conjugated central elements, and sizes each simple block by the rank
-    of the restricted algebra. Returns sizes plus the per-block subspaces.
-    The closed algebra is analysed once and the result kept on `algebra`;
-    an explicit `basis` (elements as sparse blocks, as
-    `ConcreteAlgebra.sparse_basis` holds them) is analysed afresh on every
-    call.
+    Validates that the span of `basis` is closed under convolution and the
+    involution, computes its center exactly, splits the representation
+    space into joint eigenspaces of the conjugated central elements, and
+    sizes each simple block by the rank of the restricted algebra. Returns
+    sizes plus the per-block subspaces. The closed algebra is analysed once
+    and the result kept on `algebra`; an explicit `basis` (arrow functions,
+    such as `algebra.cc.basis`) is analysed afresh on every call.
     """
     if basis is not None:
         return _simple_blocks(algebra, basis)
     if algebra._structure is None:
-        algebra._structure = _simple_blocks(algebra, algebra.sparse_closed)
+        algebra._structure = _simple_blocks(algebra, algebra.closed)
     return algebra._structure
 
 
@@ -568,23 +546,19 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
 
     if not basis:
         return {"sizes": (), "subspaces": [], "conjugated": []}
-    weight_diags = algebra.weight_diags()
-    shapes = algebra.block_shapes
+    haar, sigma = algebra.haar, algebra.sigma
 
     span = Echelon()
-    for blocks in basis:
-        span.add(_coords(blocks, shapes))
-    # products[i][j]: the coordinates of basis[i] * basis[j]
+    for f in basis:
+        span.add(_arrow_coords(f))
+    # products[i][j]: the arrow coordinates of basis[i] * basis[j]
     products = []
     for a in basis:
-        if not span.contains(_coords(_adjoint(a, weight_diags), shapes)):
+        if not span.contains(_arrow_coords(star(a, sigma))):
             raise NotClosed("subspace is not closed under the involution")
-        row = []
-        for b in basis:
-            p = _coords(_mul(a, b), shapes)
-            if not span.contains(p):
-                raise NotClosed("subspace is not closed under multiplication")
-            row.append(p)
+        row = [_arrow_coords(convolve(a, b, haar, sigma)) for b in basis]
+        if not all(span.contains(p) for p in row):
+            raise NotClosed("subspace is not closed under multiplication")
         products.append(row)
 
     k = len(basis)
@@ -604,8 +578,8 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
             commut_rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
     center_coeffs = nullspace(commut_rows, ncols=k)
 
-    sqrt_w = _sqrt_weights(weight_diags)
-    conj_basis = [_conjugated(b, sqrt_w) for b in basis]
+    sqrt_w = _sqrt_weights(algebra.weight_diags())
+    conj_basis = [_conjugated(algebra.represent(f), sqrt_w) for f in basis]
     total = conj_basis[0].shape[0]
     subspaces = [np.eye(total, dtype=complex)]
     for coeffs in center_coeffs:

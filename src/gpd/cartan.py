@@ -36,8 +36,8 @@ from .algebra import (
     _arrow_coords,
     _conjugated,
     _kernel_space,
-    _mul,
     _numeric_rank,
+    _prune,
     _sqrt_weights,
     _topology_constraints,
     cc_space,
@@ -46,7 +46,6 @@ from .algebra import (
     delta,
     make_element,
     star,
-    zero_element,
 )
 from .errors import GroupoidMismatch, NotMasa, WrongShape
 from .germs import ActionSystem, compose, germ_arrow
@@ -170,12 +169,22 @@ def _commutant_check(
             rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
     commutant = nullspace(rows, ncols=cc.dim)
     for coeff_vec in commutant:
-        f = zero_element(g)
-        for c, m in zip(coeff_vec, cc.basis):
-            f = f + m.scale(c)
+        f = _combination(g, coeff_vec, cc.basis)
         if not b.contains(f):
             return len(commutant), f
     return len(commutant), None
+
+
+def _combination(
+    g: Groupoid, coeffs: list[QC], basis: tuple[AlgebraElement, ...]
+) -> AlgebraElement:
+    """The linear combination sum_i coeffs[i] * basis[i]."""
+    out: dict[str, QC] = {}
+    for c, m in zip(coeffs, basis):
+        if c:
+            for a, v in m.coeffs.items():
+                out[a] = out.get(a, ZERO) + c * v
+    return AlgebraElement(g, _prune(out))
 
 
 def _support_in_open_bisection(g: Groupoid, f: AlgebraElement) -> bool:
@@ -319,11 +328,7 @@ def cartan_report(
                     rows.append(row)
                     rhs.append(target)
     coeffs = solve(rows, rhs) if cols else None
-    unit_element = None
-    if coeffs is not None:
-        unit_element = zero_element(g)
-        for c, bj in zip(coeffs, b.basis):
-            unit_element = unit_element + bj.scale(c)
+    unit_element = None if coeffs is None else _combination(g, coeffs, b.basis)
     contains_unit = coeffs is not None
 
     # Condition 2: commutant of B inside the admissible span.
@@ -490,15 +495,15 @@ def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
 
 
 def _reconstruct(algebra: ConcreteAlgebra, b: CcSpace) -> tuple[Groupoid, HaarSystem]:
-    spectrum = minimal_idempotents(b, algebra.haar)
-    labels = [min(pts) for pts, _ in spectrum]
-    images = [algebra.represent(idem) for _, idem in spectrum]
+    haar, sigma = algebra.haar, algebra.sigma
+    spectrum = [(min(pts), idem) for pts, idem in minimal_idempotents(b, haar)]
+    labels = [x for x, _ in spectrum]
     pairs = []
-    for i, pi in enumerate(images):
-        left = [pm for pm in (_mul(pi, m) for m in algebra.sparse_closed) if any(pm)]
-        for j, pj in enumerate(images):
-            if any(any(_mul(pm, pj)) for pm in left):
-                pairs.append((labels[i], labels[j]))
+    for x, px in spectrum:
+        left = [pm for pm in (convolve(px, m, haar, sigma) for m in algebra.closed) if pm.coeffs]
+        for y, py in spectrum:
+            if any(convolve(pm, py, haar, sigma).coeffs for pm in left):
+                pairs.append((x, y))
     space = make_space(labels, {x: {x} for x in labels})
     return relation_groupoid(space, pairs, "product", name="weyl relation")
 

@@ -24,6 +24,7 @@ from gpd.algebra import (
 )
 from gpd import algebra, catalog
 from gpd.errors import (
+    AxiomViolation,
     GroupoidMismatch,
     InvalidCocycle,
     InvariantViolation,
@@ -31,7 +32,7 @@ from gpd.errors import (
     UnknownPoint,
 )
 from gpd.groupoid import make_haar, pair_groupoid
-from gpd.qlin import QC, to_complex_matrix
+from gpd.qlin import QC, ZERO, to_complex_matrix
 
 from conftest import klein_groupoid
 
@@ -230,6 +231,16 @@ def test_corrupted_cocycle_breaks_associativity(klein):
     assert left != right
 
 
+def test_algebra_rejects_an_unvalidated_cocycle(klein):
+    # Closed under the corrupted twist, the span would be the 16-dimensional
+    # matrix algebra it generates, not a twisted algebra.
+    table = dict(klein["sigma"].sigma)
+    table[("10", "10")] = -table[("10", "10")]
+    fake = make_cocycle(klein["g"], table, check=False)
+    with pytest.raises(InvalidCocycle, match="validated cocycle"):
+        concrete_algebra(klein["g"], sigma=fake, haar=klein["haar"])
+
+
 def test_noninvariant_weights_break_the_representation():
     g, _ = pair_groupoid(["p", "q"], name="pq")
     haar = make_haar(g, {a: (2 if a == "p~q" else 1) for a in g.arrows}, validate=False)
@@ -244,20 +255,68 @@ def test_noninvariant_weights_break_the_representation():
     assert (mf @ mh)[1][0] == pytest.approx(1.0)  # rep is not multiplicative here
 
 
+def test_algebra_rejects_an_unvalidated_haar_system():
+    g, _ = pair_groupoid(["p", "q"], name="pq")
+    haar = make_haar(g, {a: (2 if a == "p~q" else 1) for a in g.arrows}, validate=False)
+    with pytest.raises(AxiomViolation, match="validated Haar system"):
+        concrete_algebra(g, haar=haar)
+
+
 # -------------------------------------------------------------- representation
 
 
-def test_regular_representation_is_multiplicative_and_adjoint(pair3):
-    g, haar = pair3["g"], pair3["haar"]
-    f = make_element(g, {"0~1": 2, "1~2": -1, "2~2": 3})
-    h = make_element(g, {"1~0": 1, "2~1": 4, "0~0": -2})
-    for x in g.units.points:
-        mf = np.array(to_complex_matrix(regular_rep(g, x, f, haar)[1]))
-        mh = np.array(to_complex_matrix(regular_rep(g, x, h, haar)[1]))
-        mfh = np.array(to_complex_matrix(regular_rep(g, x, convolve(f, h, haar), haar)[1]))
-        mstar = np.array(to_complex_matrix(regular_rep(g, x, star(f), haar)[1]))
-        assert np.allclose(mf @ mh, mfh)
-        assert np.allclose(mstar, mf.conj().T)
+def _dense_blocks(alg, f):
+    return [
+        [[blk.get(i, {}).get(j, ZERO) for j in range(n)] for i in range(n)]
+        for blk, n in zip(alg.represent(f), alg.block_shapes)
+    ]
+
+
+def _block_product(x, y):
+    return [
+        [[sum((a[i][t] * b[t][j] for t in range(len(a))), ZERO) for j in range(len(a))]
+         for i in range(len(a))]
+        for a, b in zip(x, y)
+    ]
+
+
+def _weighted_adjoint(x, weight_diags):
+    """D^-1 M^H D per block, D the fiber's diagonal of Haar weights."""
+    return [
+        [[m[j][i].conj() * QC(dw[j] / dw[i]) for j in range(len(m))] for i in range(len(m))]
+        for m, dw in zip(x, weight_diags)
+    ]
+
+
+def test_regular_representation_is_multiplicative_and_adjoint(pair3, klein):
+    # The closure and the block analysis work on arrow functions; they are
+    # answers about the represented algebra only because the representation
+    # on one unit per orbit is an exact *-homomorphism. Checked on every
+    # closed basis of the catalog (weighted cross_a2, twisted cocycle_klein
+    # included), on the Klein twist made complex by a coboundary, and on two
+    # complex elements of pair3 under a Haar system whose weights differ
+    # between an arrow and its inverse.
+    g = pair3["g"]
+    haar = make_haar(g, {a: 1 + int(g.s[a]) for a in g.arrows})
+    f = make_element(g, {"0~1": 2, "1~2": QC(-1, 2), "2~2": 3})
+    h = make_element(g, {"1~0": QC(0, 1), "2~1": 4, "0~0": -2})
+    cases = [(concrete_algebra(g, haar=haar), [f, h])]
+    kg = klein["g"]
+    c = {a: QC(Fraction(3, 5), Fraction(4, 5)) if a == "01" else QC(1) for a in kg.arrows}
+    twist = make_cocycle(kg, {
+        (a, b): klein["sigma"].value(a, b) * c[a] * c[b] * c[ab].conj()
+        for (a, b), ab in kg.comp.items()
+    })
+    algs = [concrete_algebra(kg, sigma=twist, haar=klein["haar"])]
+    algs += [catalog.build(name)["analysis"].algebra for name in catalog.names()]
+    cases += [(alg, alg.closed) for alg in algs]
+    for alg, elements in cases:
+        haar, sigma, weights = alg.haar, alg.sigma, alg.weight_diags()
+        dense = [_dense_blocks(alg, a) for a in elements]
+        for a, ma in zip(elements, dense):
+            assert _dense_blocks(alg, star(a, sigma)) == _weighted_adjoint(ma, weights)
+            for b, mb in zip(elements, dense):
+                assert _dense_blocks(alg, convolve(a, b, haar, sigma)) == _block_product(ma, mb)
 
 
 def test_reduced_norm_oracles(pair3):
@@ -337,7 +396,7 @@ def test_block_structure_consistency(a1):
 def test_block_structure_rejects_non_closed_span(a1):
     alg = concrete_algebra(a1["g"], haar=a1["haar"])
     with pytest.raises(NotClosed):
-        block_structure(alg, basis=alg.sparse_basis)
+        block_structure(alg, basis=alg.cc.basis)
     assert alg._structure is None  # the failed control leaves nothing behind
 
 
@@ -358,7 +417,7 @@ def test_block_structure_is_kept_on_the_algebra(a1):
     assert block_structure(alg) is first
     assert alg.structure is first
     # an explicit basis is analysed afresh and never replaces the kept one
-    fresh = block_structure(alg, basis=alg.sparse_closed)
+    fresh = block_structure(alg, basis=alg.closed)
     assert fresh is not first and fresh["sizes"] == first["sizes"]
     assert block_structure(alg) is first
 

@@ -164,9 +164,9 @@ def test_closed_bases_match_the_stored_digests():
         quads = [
             [
                 [[blk.get(i, {}).get(j, ZERO).as_quad() for j in range(n)] for i in range(n)]
-                for blk, n in zip(blocks, alg.block_shapes)
+                for blk, n in zip(alg.represent(f), alg.block_shapes)
             ]
-            for blocks in alg.sparse_closed
+            for f in alg.closed
         ]
         text = json.dumps(quads, separators=(",", ":"))
         got = {"span_dim": alg.span_dim, "dim": alg.dim, "sha256": hashlib.sha256(text.encode()).hexdigest()}
