@@ -15,7 +15,12 @@ operator norms and eigenvalue clustering is computed exactly.
 
 Every exact answer about the algebra is computed on arrow functions: the
 closure under products and the simple-block analysis convolve elements and
-read them as {arrow index: QC} rows for `qlin.Echelon`. The left regular
+read them as {arrow index: QC} rows for `qlin.Echelon`. A product is formed
+only for a pair whose supports compose, that is when some source of the
+first factor's support is a range of the second's (`_composable`, on the
+`sources` and `ranges` each element caches); every other product is zero.
+`convolve` itself indexes the second factor by range, so it visits only the
+composable pairs of support arrows. The left regular
 representation over one unit per orbit is a faithful *-representation
 when the Haar system and the cocycle are validated, so these answers are
 those of the represented algebra. Its matrices are built only to check that
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -78,6 +84,18 @@ class AlgebraElement:
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(sorted(self.coeffs))
+
+    @cached_property
+    def sources(self) -> frozenset[str]:
+        """The unit points at which the support's arrows start."""
+        s = self.groupoid.s
+        return frozenset(s[a] for a in self.coeffs)
+
+    @cached_property
+    def ranges(self) -> frozenset[str]:
+        """The unit points at which the support's arrows end."""
+        r = self.groupoid.r
+        return frozenset(r[a] for a in self.coeffs)
 
     def value(self, arrow: str) -> QC:
         return self.coeffs.get(arrow, ZERO)
@@ -148,6 +166,29 @@ def _arrow_coords(f: AlgebraElement) -> dict[int, QC]:
     its support only (`element_vector` is the dense form)."""
     idx = f.groupoid.arrow_index
     return {idx[a]: v for a, v in f.coeffs.items()}
+
+
+def _difference(u: Mapping[int, QC], v: Mapping[int, QC]) -> dict[int, QC]:
+    """The nonzero entries of u - v, for sparse vectors u and v."""
+    d = dict(u)
+    for c, x in v.items():
+        y = d.get(c, ZERO) - x
+        if y:
+            d[c] = y
+        else:
+            del d[c]
+    return d
+
+
+def _transpose(vectors: Sequence[Mapping[int, QC]]) -> list[dict[int, QC]]:
+    """The rows of the matrix whose i-th column is vectors[i]: one
+    {i: QC} row per coordinate some vector is nonzero at, in coordinate
+    order, built in one pass over the nonzero entries."""
+    rows: dict[int, dict[int, QC]] = {}
+    for i, v in enumerate(vectors):
+        for c, x in v.items():
+            rows.setdefault(c, {})[i] = x
+    return [rows[c] for c in sorted(rows)]
 
 
 def vector_element(g: Groupoid, vec: Sequence[QC]) -> AlgebraElement:
@@ -257,6 +298,13 @@ def trivial_cocycle(g: Groupoid) -> Cocycle:
     return Cocycle(g, {k: ONE for k in g.comp}, validated=True)
 
 
+def _composable(f: AlgebraElement, g: AlgebraElement) -> bool:
+    """Can f * g be nonzero? Only if some source of f's support is a range
+    of g's support; otherwise no pair of support arrows composes and the
+    product is exactly zero."""
+    return not f.sources.isdisjoint(g.ranges)
+
+
 def convolve(
     f: AlgebraElement,
     g: AlgebraElement,
@@ -264,23 +312,51 @@ def convolve(
     sigma: Cocycle | None = None,
 ) -> AlgebraElement:
     """Fiberwise convolution; each composable pair of support arrows contributes
-    weight(inv(second)) * f(first) * g(second) * sigma(first, second) to the
-    composite arrow."""
+    f(first) * g(second) * weight(inv(second)) * sigma(first, second) to the
+    composite arrow.
+
+    g's terms are indexed by range, with the Haar weight folded in once per
+    term, so each arrow of f meets only the arrows of g it composes with,
+    in g's order."""
     gpd = _same_groupoid(f, g, haar, sigma)
     w = haar.weight if haar is not None else None
+    s, r, inv, comp = gpd.s, gpd.r, gpd.inv, gpd.comp
+    by_range: dict[str, list[tuple[str, QC]]] = {}
+    for beta, gb in g.coeffs.items():
+        if w is not None:
+            gb = gb * qc(w[inv[beta]])
+        by_range.setdefault(r[beta], []).append((beta, gb))
     out: dict[str, QC] = {}
     for alpha, fa in f.coeffs.items():
-        for beta, gb in g.coeffs.items():
-            if gpd.s[alpha] != gpd.r[beta]:
-                continue
+        for beta, gb in by_range.get(s[alpha], ()):
             term = fa * gb
-            if w is not None:
-                term = term * qc(w[gpd.inv[beta]])
             if sigma is not None:
                 term = term * sigma.value(alpha, beta)
-            gamma = gpd.comp[(alpha, beta)]
+            gamma = comp[(alpha, beta)]
             out[gamma] = out.get(gamma, ZERO) + term
     return AlgebraElement(gpd, _prune(out))
+
+
+def _product_coords(
+    f: AlgebraElement,
+    g: AlgebraElement,
+    haar: HaarSystem | None,
+    sigma: Cocycle | None,
+) -> dict[int, QC]:
+    """f * g as {arrow index: QC}, convolved only if the supports compose."""
+    if not _composable(f, g):
+        return {}
+    return _arrow_coords(convolve(f, g, haar, sigma))
+
+
+def _commutator_coords(
+    f: AlgebraElement,
+    g: AlgebraElement,
+    haar: HaarSystem | None,
+    sigma: Cocycle | None,
+) -> dict[int, QC]:
+    """f * g - g * f as {arrow index: QC}."""
+    return _difference(_product_coords(f, g, haar, sigma), _product_coords(g, f, haar, sigma))
 
 
 def star(f: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
@@ -480,14 +556,18 @@ def concrete_algebra(
 
     # Semi-naive closure: every pair of closed[:old] was multiplied in an
     # earlier round, and the span only grows, so a round multiplies just the
-    # pairs (i, j) that involve an element added in the round before.
+    # pairs (i, j) that involve an element added in the round before, and of
+    # those only the pairs whose supports compose (the rest are zero).
     closed = list(cc.basis)
     old = 0
     while True:
         current = len(closed)
         for i in range(current):
+            fi = closed[i]
             for j in range(old if i < old else 0, current):
-                p = convolve(closed[i], closed[j], haar, sigma)
+                if not _composable(fi, closed[j]):
+                    continue
+                p = convolve(fi, closed[j], haar, sigma)
                 if span.add(_arrow_coords(p)):
                     closed.append(p)
         if len(closed) == current:
@@ -551,31 +631,23 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
     span = Echelon()
     for f in basis:
         span.add(_arrow_coords(f))
-    # products[i][j]: the arrow coordinates of basis[i] * basis[j]
+    # products[i][j]: the arrow coordinates of basis[i] * basis[j]; a pair
+    # whose supports do not compose gives {}, which is in every span
     products = []
     for a in basis:
         if not span.contains(_arrow_coords(star(a, sigma))):
             raise NotClosed("subspace is not closed under the involution")
-        row = [_arrow_coords(convolve(a, b, haar, sigma)) for b in basis]
-        if not all(span.contains(p) for p in row):
+        row = [_product_coords(a, b, haar, sigma) for b in basis]
+        if not all(span.contains(p) for p in row if p):
             raise NotClosed("subspace is not closed under multiplication")
         products.append(row)
 
     k = len(basis)
     commut_rows = []
     for j in range(k):
-        diffs = []
-        for i in range(k):
-            d = dict(products[i][j])
-            for c, x in products[j][i].items():
-                y = d.get(c, ZERO) - x
-                if y:
-                    d[c] = y
-                else:
-                    del d[c]
-            diffs.append(d)
-        for coord in sorted(set().union(*diffs)):
-            commut_rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
+        commut_rows += _transpose(
+            [_difference(products[i][j], products[j][i]) for i in range(k)]
+        )
     center_coeffs = nullspace(commut_rows, ncols=k)
 
     sqrt_w = _sqrt_weights(algebra.weight_diags())

@@ -34,12 +34,16 @@ from .algebra import (
     Cocycle,
     ConcreteAlgebra,
     _arrow_coords,
+    _commutator_coords,
+    _composable,
     _conjugated,
     _kernel_space,
     _numeric_rank,
+    _product_coords,
     _prune,
     _sqrt_weights,
     _topology_constraints,
+    _transpose,
     cc_space,
     concrete_algebra,
     convolve,
@@ -102,7 +106,7 @@ def minimal_idempotents(
     haar = haar if haar is not None else HaarSystem.counting(g)
     for p in b.basis:
         for q in b.basis:
-            if not b.contains(convolve(p, q, haar)):
+            if _composable(p, q) and not b.contains(convolve(p, q, haar)):
                 raise NotMasa("unit subalgebra is not closed under products")
     evals: dict[str, tuple] = {}
     for x in g.units.points:
@@ -161,12 +165,7 @@ def _commutant_check(
     element of it outside B (None exactly when B is maximal abelian)."""
     rows: list[dict[int, QC]] = []
     for bj in b.basis:
-        diffs = [
-            _arrow_coords(convolve(mi, bj, haar, sigma) - convolve(bj, mi, haar, sigma))
-            for mi in cc.basis
-        ]
-        for coord in sorted(set().union(*diffs)):
-            rows.append({i: d[coord] for i, d in enumerate(diffs) if coord in d})
+        rows += _transpose([_commutator_coords(mi, bj, haar, sigma) for mi in cc.basis])
     commutant = nullspace(rows, ncols=cc.dim)
     for coeff_vec in commutant:
         f = _combination(g, coeff_vec, cc.basis)
@@ -207,12 +206,16 @@ def _normalizes(
     haar: HaarSystem,
     sigma: Cocycle | None,
 ) -> bool:
+    """Do a * bj * a^* and a^* * bj * a lie in B for every basis element bj?
+    A product whose supports do not compose is zero, which B contains."""
     a_star = star(a, sigma)
     for bj in b.basis:
-        left = convolve(convolve(a, bj, haar, sigma), a_star, haar, sigma)
-        right = convolve(convolve(a_star, bj, haar, sigma), a, haar, sigma)
-        if not (b.contains(left) and b.contains(right)):
-            return False
+        for x, y in ((a, a_star), (a_star, a)):
+            if not _composable(x, bj):
+                continue
+            xb = convolve(x, bj, haar, sigma)
+            if _composable(xb, y) and not b.contains(convolve(xb, y, haar, sigma)):
+                return False
     return True
 
 
@@ -282,7 +285,10 @@ def _expectation_flags(
         meeting = fibre_parts.get(x, {})
         parts = [AlgebraElement(g, c) for c in meeting.values()]
         h = [
-            [convolve(pj_star, pi, haar, sigma).value(u) for pi in parts]
+            [
+                convolve(pj_star, pi, haar, sigma).value(u) if _composable(pj_star, pi) else ZERO
+                for pi in parts
+            ]
             for pj_star in (star(pj, sigma) for pj in parts)
         ]
         if positive and not hermitian_is_psd(h):
@@ -318,8 +324,8 @@ def cartan_report(
     rhs: list[QC] = []
     for m in cc.basis:
         mv = _arrow_coords(m)
-        left = [_arrow_coords(convolve(bj, m, haar, sigma)) for bj in b.basis]
-        right = [_arrow_coords(convolve(m, bj, haar, sigma)) for bj in b.basis]
+        left = [_product_coords(bj, m, haar, sigma) for bj in b.basis]
+        right = [_product_coords(m, bj, haar, sigma) for bj in b.basis]
         for coord in sorted(set(mv).union(*left, *right)):
             target = mv.get(coord, ZERO)
             for side in (left, right):
@@ -500,9 +506,13 @@ def _reconstruct(algebra: ConcreteAlgebra, b: CcSpace) -> tuple[Groupoid, HaarSy
     labels = [x for x, _ in spectrum]
     pairs = []
     for x, px in spectrum:
-        left = [pm for pm in (convolve(px, m, haar, sigma) for m in algebra.closed) if pm.coeffs]
+        left = [
+            pm
+            for pm in (convolve(px, m, haar, sigma) for m in algebra.closed if _composable(px, m))
+            if pm.coeffs
+        ]
         for y, py in spectrum:
-            if any(convolve(pm, py, haar, sigma).coeffs for pm in left):
+            if any(_composable(pm, py) and convolve(pm, py, haar, sigma).coeffs for pm in left):
                 pairs.append((x, y))
     space = make_space(labels, {x: {x} for x in labels})
     return relation_groupoid(space, pairs, "product", name="weyl relation")

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Mapping
 
 from . import cartan as _cartan
 from .algebra import (
+    _commutator_coords,
     block_decomposition,
-    convolve,
     delta,
     make_cocycle,
     make_element,
@@ -520,10 +520,7 @@ def _build_two_involutions(params: Mapping) -> dict:
         gg = b["groupoid"]
         f = _cartan.skandalis_element(gg)
         sub = b["analysis"].units
-        commutes = all(
-            not (convolve(f, v, b["haar"]) - convolve(v, f, b["haar"])).coeffs
-            for v in sub.basis
-        )
+        commutes = all(not _commutator_coords(f, v, b["haar"], None) for v in sub.basis)
         return commutes and not sub.contains(f) and b["analysis"].algebra.cc.contains(f)
 
     def support_is_signed_isotropy(b):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from gpd.errors import (
 from gpd.groupoid import make_haar, pair_groupoid
 from gpd.qlin import QC, ZERO, to_complex_matrix
 
+import naive_convolve
 from conftest import klein_groupoid
 
 
@@ -160,6 +162,70 @@ def test_twisted_associativity_on_random_elements(coeffs):
     left = convolve(convolve(f, h, sigma=sigma), k, sigma=sigma)
     right = convolve(f, convolve(h, k, sigma=sigma), sigma=sigma)
     assert left == right
+
+
+# Differential tests: the range-indexed kernel against the all-pairs one it
+# replaced (tests/naive_convolve.py), over every catalog groupoid, twisted
+# cocycle_klein included, under no Haar system, the entry's own (cross_a2
+# weights its fixed point) or one that weights each source point
+# differently, so that weight(inv(beta)) and weight(beta) part.
+
+PARTS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+SCALARS = st.builds(QC, PARTS, st.one_of(st.just(Fraction(0)), PARTS))
+
+
+@functools.cache
+def _entry(name):
+    bundle = catalog.build(name)
+    return bundle["groupoid"], bundle["haar"], bundle["sigma"]
+
+
+def _by_source(g, mass):
+    return make_haar(g, {a: mass[g.s[a]] for a in g.arrows})
+
+
+def test_convolve_matches_the_all_pairs_kernel_on_arrow_pairs():
+    # Every pair of point masses: the product is nonzero exactly when the
+    # pair composes, and `_composable` says so.
+    for name in catalog.names():
+        g, haar, sigma = _entry(name)
+        spread = _by_source(g, {x: i + 1 for i, x in enumerate(g.units.points)})
+        deltas = [delta(g, a, QC(1, 1)) for a in g.arrows]
+        twists = (None,) if sigma is None else (None, sigma)
+        for h, s in itertools.product((None, haar, spread), twists):
+            for f, k in itertools.product(deltas, repeat=2):
+                got = convolve(f, k, h, s)
+                assert got == naive_convolve.convolve(f, k, h, s), (name, f.support, k.support)
+                composes = g.s[f.support[0]] == g.r[k.support[0]]
+                assert algebra._composable(f, k) == composes == bool(got.coeffs)
+
+
+@st.composite
+def products(draw):
+    g, haar, sigma = _entry(draw(st.sampled_from(catalog.names())))
+    kind = draw(st.sampled_from(("none", "entry", "by source")))
+    if kind == "none":
+        haar = None
+    elif kind == "by source":
+        haar = _by_source(g, {x: draw(st.integers(1, 4)) for x in g.units.points})
+    sigma = sigma if draw(st.booleans()) else None
+
+    def element():
+        return make_element(g, draw(st.dictionaries(st.sampled_from(g.arrows), SCALARS, max_size=5)))
+
+    return element(), element(), haar, sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_convolve_matches_the_all_pairs_kernel(drawn):
+    # Sums of several terms: the same coefficients, added in the same order.
+    f, h, haar, sigma = drawn
+    got = convolve(f, h, haar, sigma)
+    want = naive_convolve.convolve(f, h, haar, sigma)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    if not algebra._composable(f, h):
+        assert got == zero_element(f.groupoid)
 
 
 # ----------------------------------------------------------------- involution

@@ -58,6 +58,7 @@ def catalog_all():
     with pytest.MonkeyPatch.context() as mp:
         counts = count_calls(
             mp,
+            "algebra.convolve",
             "algebra.concrete_algebra",
             "algebra.block_structure",
             "cartan.cartan_report",
@@ -118,9 +119,11 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # fourier's dual, cocycle_klein untwisted): 14 algebras, each split once;
     # pair reports for the 11 entries and the rotation companion, each
     # building B and checking its commutant once, which pair's Weyl round
-    # trip reuses.
+    # trip reuses. Products are formed only where the supports compose: a
+    # run that convolved every pair its loops meet would make 7 990.
     _, _, counts = catalog_all
     assert counts == {
+        "algebra.convolve": 1725,
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
