@@ -13,12 +13,15 @@ Convolution, involution, and regular representations follow the standard
 fiberwise formulas, optionally twisted by a 2-cocycle; everything except
 operator norms and eigenvalue clustering is computed exactly.
 
-Every exact answer about the algebra is computed on arrow functions: the
-closure under products and the simple-block analysis convolve elements and
-read them as {arrow index: QC} rows for `qlin.Echelon`. A product is formed
-only for a pair whose supports compose, that is when some source of the
-first factor's support is a range of the second's (`_composable`, on the
-`sources` and `ranges` each element caches); every other product is zero.
+Every exact answer about the algebra is computed on arrow functions, read
+as {arrow index: QC} rows for `qlin.Echelon`. The closure under products is
+the only place the closed algebra's products are formed: it keeps them as a
+table, which the simple-block analysis reads for the exact center
+(`block_structure(alg, basis=...)` closes the given basis the same way and
+raises NotClosed if its span grows). A product is formed only for a pair
+whose supports compose, that is when some source of the first factor's
+support is a range of the second's (`_composable`, on the `sources` and
+`ranges` each element caches); every other product is zero.
 `convolve` itself indexes the second factor by range, so it visits only the
 composable pairs of support arrows. The left regular
 representation over one unit per orbit is a faithful *-representation
@@ -131,11 +134,15 @@ def _prune(coeffs: Mapping[str, QC]) -> dict[str, QC]:
     return {a: v for a, v in coeffs.items() if v}
 
 
+def _require_over(g: Groupoid, *objs) -> None:
+    """Raise GroupoidMismatch unless every given object lives over g."""
+    if any(o is not None and o.groupoid is not g for o in objs):
+        raise GroupoidMismatch("objects live over different groupoids")
+
+
 def _same_groupoid(*objs) -> Groupoid:
     g = objs[0].groupoid
-    for o in objs[1:]:
-        if o is not None and o.groupoid is not g:
-            raise GroupoidMismatch("objects live over different groupoids")
+    _require_over(g, *objs[1:])
     return g
 
 
@@ -168,27 +175,18 @@ def _arrow_coords(f: AlgebraElement) -> dict[int, QC]:
     return {idx[a]: v for a, v in f.coeffs.items()}
 
 
-def _difference(u: Mapping[int, QC], v: Mapping[int, QC]) -> dict[int, QC]:
-    """The nonzero entries of u - v, for sparse vectors u and v."""
-    d = dict(u)
-    for c, x in v.items():
-        y = d.get(c, ZERO) - x
-        if y:
-            d[c] = y
-        else:
-            del d[c]
-    return d
-
-
-def _transpose(vectors: Sequence[Mapping[int, QC]]) -> list[dict[int, QC]]:
-    """The rows of the matrix whose i-th column is vectors[i]: one
-    {i: QC} row per coordinate some vector is nonzero at, in coordinate
-    order, built in one pass over the nonzero entries."""
-    rows: dict[int, dict[int, QC]] = {}
-    for i, v in enumerate(vectors):
-        for c, x in v.items():
-            rows.setdefault(c, {})[i] = x
-    return [rows[c] for c in sorted(rows)]
+def _commutation_rows(xy: Mapping, yx: Mapping) -> list[dict[int, QC]]:
+    """The equations sum_i c_i (x_i y_j - y_j x_i) = 0, as {i: QC} rows in
+    the unknowns c, one per (j, arrow coordinate). xy[i, j] and yx[i, j] are
+    the nonzero arrow coordinates of x_i y_j and of y_j x_i; pairs missing
+    from both tables commute and give no row."""
+    rows: dict[tuple[int, int], dict[int, QC]] = {}
+    for table, negate in ((xy, False), (yx, True)):
+        for (i, j), p in table.items():
+            for c, v in p.items():
+                row = rows.setdefault((j, c), {})
+                row[i] = row.get(i, ZERO) + (-v if negate else v)
+    return [_prune(row) for row in rows.values()]
 
 
 def vector_element(g: Groupoid, vec: Sequence[QC]) -> AlgebraElement:
@@ -337,28 +335,6 @@ def convolve(
     return AlgebraElement(gpd, _prune(out))
 
 
-def _product_coords(
-    f: AlgebraElement,
-    g: AlgebraElement,
-    haar: HaarSystem | None,
-    sigma: Cocycle | None,
-) -> dict[int, QC]:
-    """f * g as {arrow index: QC}, convolved only if the supports compose."""
-    if not _composable(f, g):
-        return {}
-    return _arrow_coords(convolve(f, g, haar, sigma))
-
-
-def _commutator_coords(
-    f: AlgebraElement,
-    g: AlgebraElement,
-    haar: HaarSystem | None,
-    sigma: Cocycle | None,
-) -> dict[int, QC]:
-    """f * g - g * f as {arrow index: QC}."""
-    return _difference(_product_coords(f, g, haar, sigma), _product_coords(g, f, haar, sigma))
-
-
 def star(f: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
     gpd = _same_groupoid(f, sigma)
     out: dict[str, QC] = {}
@@ -478,7 +454,8 @@ class ConcreteAlgebra:
     functions; `represent` gives their regular representation on one unit
     per orbit (`orbit_reps`), as sparse blocks sized by `block_shapes`. The
     simple-block structure of the closed algebra is computed once, by the
-    first `block_structure` call, and kept.
+    first `block_structure` call, from the span and product table the
+    closure kept (`_close`), and kept in their place.
     """
 
     groupoid: Groupoid
@@ -488,6 +465,8 @@ class ConcreteAlgebra:
     orbit_reps: tuple[str, ...]
     fibers: Mapping[str, tuple[str, ...]]
     closed: tuple[AlgebraElement, ...]
+    _span: Echelon | None = field(default=None, repr=False)
+    _products: dict | None = field(default=None, repr=False)
     _structure: dict | None = field(default=None, repr=False)
 
     @property
@@ -536,7 +515,9 @@ def concrete_algebra(
 ) -> ConcreteAlgebra:
     """Close the admissible space under convolution. Only a validated Haar
     system and cocycle make the regular representation a *-homomorphism;
-    others are rejected (AxiomViolation, InvalidCocycle)."""
+    others are rejected (AxiomViolation, InvalidCocycle), and so are ones
+    over another groupoid (GroupoidMismatch)."""
+    _require_over(g, haar, sigma)
     haar = haar if haar is not None else HaarSystem.counting(g)
     if not haar.validated:
         raise AxiomViolation("the algebra needs a validated Haar system")
@@ -547,18 +528,40 @@ def concrete_algebra(
     fibers = {x: g.s_fiber.get(x, ()) for x in reps}
     shapes = [len(fibers[x]) for x in reps]
     faithful = Echelon()
-    span = Echelon()
     for f in cc.basis:
         blocks = tuple(_rep_block(g, fibers[x], f, haar, sigma) for x in reps)
         if not faithful.add(_coords(blocks, shapes)):
             raise InvariantViolation("representation must be faithful on the admissible space")
-        span.add(_arrow_coords(f))
+    closed, span, products = _close(cc.basis, haar, sigma)
+    return ConcreteAlgebra(
+        groupoid=g,
+        haar=haar,
+        sigma=sigma,
+        cc=cc,
+        orbit_reps=reps,
+        fibers=fibers,
+        closed=closed,
+        _span=span,
+        _products=products,
+    )
 
-    # Semi-naive closure: every pair of closed[:old] was multiplied in an
-    # earlier round, and the span only grows, so a round multiplies just the
-    # pairs (i, j) that involve an element added in the round before, and of
-    # those only the pairs whose supports compose (the rest are zero).
-    closed = list(cc.basis)
+
+def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
+    """(closed, span, products): the basis followed by the products that
+    enlarge its span, that span, and the product table, products[i, j]
+    being the nonzero arrow coordinates of closed[i] * closed[j].
+
+    Semi-naive: every pair of closed[:old] was multiplied in an earlier
+    round, and the span only grows, so a round multiplies just the pairs
+    (i, j) that involve an element added in the round before, and of those
+    only the pairs whose supports compose (the rest are zero). The last
+    round adds nothing, so the table holds every nonzero product, each
+    formed once."""
+    closed = list(basis)
+    span = Echelon()
+    for f in closed:
+        span.add(_arrow_coords(f))
+    products = {}
     old = 0
     while True:
         current = len(closed)
@@ -568,20 +571,15 @@ def concrete_algebra(
                 if not _composable(fi, closed[j]):
                     continue
                 p = convolve(fi, closed[j], haar, sigma)
-                if span.add(_arrow_coords(p)):
-                    closed.append(p)
+                coords = _arrow_coords(p)
+                if coords:
+                    products[i, j] = coords
+                    if span.add(coords):
+                        closed.append(p)
         if len(closed) == current:
             break
         old = current
-    return ConcreteAlgebra(
-        groupoid=g,
-        haar=haar,
-        sigma=sigma,
-        cc=cc,
-        orbit_reps=reps,
-        fibers=fibers,
-        closed=tuple(closed),
-    )
+    return tuple(closed), span, products
 
 
 def _split_by_hermitian(subspaces, h):
@@ -606,49 +604,39 @@ def _split_by_hermitian(subspaces, h):
 def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
     """Simple-block analysis of a product-closed subalgebra.
 
-    Validates that the span of `basis` is closed under convolution and the
-    involution, computes its center exactly, splits the representation
-    space into joint eigenspaces of the conjugated central elements, and
-    sizes each simple block by the rank of the restricted algebra. Returns
-    sizes plus the per-block subspaces. The closed algebra is analysed once
-    and the result kept on `algebra`; an explicit `basis` (arrow functions,
-    such as `algebra.cc.basis`) is analysed afresh on every call.
+    Validates that the span of the basis is closed under the involution,
+    computes its center exactly, splits the representation space into
+    joint eigenspaces of the conjugated central elements, and sizes each
+    simple block by the rank of the restricted algebra. Returns the sizes
+    and the per-block subspaces. The closed algebra is analysed once, from
+    the product table its closure kept, and the result kept on `algebra`.
+    An explicit `basis` (arrow functions, such as `algebra.cc.basis`) is
+    closed afresh on every call, and raises NotClosed if its span grows.
     """
     if basis is not None:
-        return _simple_blocks(algebra, basis)
+        closed, span, products = _close(basis, algebra.haar, algebra.sigma)
+        if len(closed) != len(basis):
+            raise NotClosed("subspace is not closed under multiplication")
+        return _simple_blocks(algebra, closed, span, products)
     if algebra._structure is None:
-        algebra._structure = _simple_blocks(algebra, algebra.closed)
+        algebra._structure = _simple_blocks(algebra, algebra.closed, algebra._span, algebra._products)
+        algebra._span = algebra._products = None
     return algebra._structure
 
 
-def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
+def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> dict:
+    """The blocks of a closed basis, from its span and product table (`_close`)."""
     import numpy as np
 
     if not basis:
-        return {"sizes": (), "subspaces": [], "conjugated": []}
-    haar, sigma = algebra.haar, algebra.sigma
-
-    span = Echelon()
-    for f in basis:
-        span.add(_arrow_coords(f))
-    # products[i][j]: the arrow coordinates of basis[i] * basis[j]; a pair
-    # whose supports do not compose gives {}, which is in every span
-    products = []
+        return {"sizes": (), "subspaces": []}
     for a in basis:
-        if not span.contains(_arrow_coords(star(a, sigma))):
+        if not span.contains(_arrow_coords(star(a, algebra.sigma))):
             raise NotClosed("subspace is not closed under the involution")
-        row = [_product_coords(a, b, haar, sigma) for b in basis]
-        if not all(span.contains(p) for p in row if p):
-            raise NotClosed("subspace is not closed under multiplication")
-        products.append(row)
 
-    k = len(basis)
-    commut_rows = []
-    for j in range(k):
-        commut_rows += _transpose(
-            [_difference(products[i][j], products[j][i]) for i in range(k)]
-        )
-    center_coeffs = nullspace(commut_rows, ncols=k)
+    # sum_i c_i basis[i] is central iff it commutes with every basis[j]
+    transposed = {(j, i): p for (i, j), p in products.items()}
+    center_coeffs = nullspace(_commutation_rows(products, transposed), ncols=len(basis))
 
     sqrt_w = _sqrt_weights(algebra.weight_diags())
     conj_basis = [_conjugated(algebra.represent(f), sqrt_w) for f in basis]
@@ -672,14 +660,14 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis) -> dict:
         if n:
             sizes.append(n)
             kept.append(q)
-    if sum(n * n for n in sizes) != k:
+    if sum(n * n for n in sizes) != len(basis):
         raise InvariantViolation("block sizes must account for the dimension")
     if len(sizes) != len(center_coeffs):
         raise InvariantViolation(
             f"the eigen split found {len(sizes)} blocks, "
             f"but the exact center has dimension {len(center_coeffs)}"
         )
-    return {"sizes": tuple(sizes), "subspaces": kept, "conjugated": conj_basis}
+    return {"sizes": tuple(sizes), "subspaces": kept}
 
 
 def _sqrt_weights(weight_diags):
@@ -717,10 +705,6 @@ def _numeric_rank(m) -> int:
     return int((svals > cut).sum())
 
 
-def block_decomposition(algebra: ConcreteAlgebra, basis=None) -> tuple[int, ...]:
+def block_decomposition(algebra: ConcreteAlgebra) -> tuple[int, ...]:
     """Multiset of simple-block sizes, largest first."""
-    if basis is None:
-        sizes = algebra.structure["sizes"]
-    else:
-        sizes = block_structure(algebra, basis)["sizes"]
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(sorted(algebra.structure["sizes"], reverse=True))

@@ -34,16 +34,15 @@ from .algebra import (
     Cocycle,
     ConcreteAlgebra,
     _arrow_coords,
-    _commutator_coords,
+    _commutation_rows,
     _composable,
     _conjugated,
     _kernel_space,
     _numeric_rank,
-    _product_coords,
     _prune,
+    _require_over,
     _sqrt_weights,
     _topology_constraints,
-    _transpose,
     cc_space,
     concrete_algebra,
     convolve,
@@ -51,7 +50,7 @@ from .algebra import (
     make_element,
     star,
 )
-from .errors import GroupoidMismatch, NotMasa, WrongShape
+from .errors import NotMasa, WrongShape
 from .germs import ActionSystem, compose, germ_arrow
 from .groupoid import Groupoid, HaarSystem, classify, orbits, relation_groupoid
 from .finitetop import make_space
@@ -154,19 +153,31 @@ class CartanReport:
     overall: bool
 
 
+def _side_products(cc: CcSpace, b: CcSpace, haar: HaarSystem, sigma: Cocycle | None) -> tuple:
+    """(bm, mb): bm[i, j] and mb[i, j] are the nonzero arrow coordinates of
+    b_j * m_i and of m_i * b_j, over the admissible basis m_i and the basis
+    b_j of B, each product formed once."""
+    bm, mb = {}, {}
+    for i, m in enumerate(cc.basis):
+        for j, bj in enumerate(b.basis):
+            for table, x, y in ((bm, bj, m), (mb, m, bj)):
+                p = _arrow_coords(convolve(x, y, haar, sigma)) if _composable(x, y) else None
+                if p:
+                    table[i, j] = p
+    return bm, mb
+
+
 def _commutant_check(
     g: Groupoid,
     cc: CcSpace,
     b: CcSpace,
-    haar: HaarSystem,
-    sigma: Cocycle | None,
+    sides: tuple,
 ) -> tuple[int, AlgebraElement | None]:
     """Dimension of the commutant of B inside the admissible span, and an
-    element of it outside B (None exactly when B is maximal abelian)."""
-    rows: list[dict[int, QC]] = []
-    for bj in b.basis:
-        rows += _transpose([_commutator_coords(mi, bj, haar, sigma) for mi in cc.basis])
-    commutant = nullspace(rows, ncols=cc.dim)
+    element of it outside B (None exactly when B is maximal abelian).
+    `sides` is `_side_products(cc, b, ...)`."""
+    bm, mb = sides
+    commutant = nullspace(_commutation_rows(mb, bm), ncols=cc.dim)
     for coeff_vec in commutant:
         f = _combination(g, coeff_vec, cc.basis)
         if not b.contains(f):
@@ -313,19 +324,20 @@ def cartan_report(
     haar: HaarSystem | None = None,
     cc: CcSpace | None = None,
 ) -> CartanReport:
+    _require_over(g, sigma, haar, cc)
     haar = haar if haar is not None else HaarSystem.counting(g)
     cc = cc if cc is not None else cc_space(g)
     b = unit_subalgebra(g)
+    sides = _side_products(cc, b, haar, sigma)
 
     # Condition 1: an element of B acting as a two-sided identity on the span.
     # An equation sum_j c_j (b_j m)(x) = m(x) is 0 = 0 off the supports.
     cols = len(b.basis)
     rows: list[list[QC]] = []
     rhs: list[QC] = []
-    for m in cc.basis:
+    for i, m in enumerate(cc.basis):
         mv = _arrow_coords(m)
-        left = [_product_coords(bj, m, haar, sigma) for bj in b.basis]
-        right = [_product_coords(m, bj, haar, sigma) for bj in b.basis]
+        left, right = ([table.get((i, j), {}) for j in range(cols)] for table in sides)
         for coord in sorted(set(mv).union(*left, *right)):
             target = mv.get(coord, ZERO)
             for side in (left, right):
@@ -338,7 +350,7 @@ def cartan_report(
     contains_unit = coeffs is not None
 
     # Condition 2: commutant of B inside the admissible span.
-    commutant_dim, masa_witness = _commutant_check(g, cc, b, haar, sigma)
+    commutant_dim, masa_witness = _commutant_check(g, cc, b, sides)
     masa = masa_witness is None
 
     # Condition 3: bisection-supported normalizers spanning the admissible space.
@@ -447,9 +459,10 @@ def uep_report(
     idempotent when every block rank is 0/1; a rank vector is reported
     instead when some block rank exceeds 1. Requires B maximal abelian.
     The block structure is the one `algebra` keeps (see `block_structure`),
-    and B is the one `report` was computed on; a report over another
-    groupoid raises GroupoidMismatch.
+    and B is the one `report` was computed on; a cocycle, Haar system,
+    algebra or report over another groupoid raises GroupoidMismatch.
     """
+    _require_over(g, sigma, haar, algebra, None if report is None else report.units)
     haar = haar if haar is not None else HaarSystem.counting(g)
     algebra = (
         algebra
@@ -458,8 +471,6 @@ def uep_report(
     )
     report = report if report is not None else cartan_report(g, sigma, haar, algebra.cc)
     b = report.units
-    if b.groupoid is not g:
-        raise GroupoidMismatch("the pair report is over a different groupoid")
     if not report.masa:
         raise NotMasa("extension counting needs a maximal abelian unit subalgebra")
     structure = algebra.structure
@@ -493,9 +504,10 @@ def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
     Given only the algebra, B is built and its commutant checked here;
     `Analysis.weyl` reuses the ones its pair report has.
     """
-    g = algebra.groupoid
+    g, cc = algebra.groupoid, algebra.cc
     b = unit_subalgebra(g)
-    if _commutant_check(g, algebra.cc, b, algebra.haar, algebra.sigma)[1] is not None:
+    sides = _side_products(cc, b, algebra.haar, algebra.sigma)
+    if _commutant_check(g, cc, b, sides)[1] is not None:
         raise NotMasa(_WEYL_NEEDS_MASA)
     return _reconstruct(algebra, b)
 

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Mapping
 
 from . import cartan as _cartan
 from .algebra import (
-    _commutator_coords,
     block_decomposition,
+    convolve,
     delta,
     make_cocycle,
     make_element,
@@ -336,15 +336,6 @@ def _build_gluing(params: Mapping) -> dict:
     }
 
 
-def _cyclic_group(n: int) -> dict:
-    elems = [str(k) for k in range(n)]
-    return {
-        "elements": elems,
-        "mul": {(a, b): str((int(a) + int(b)) % n) for a in elems for b in elems},
-        "identity": "0",
-    }
-
-
 def _discrete_space(points: Iterable[str]) -> FiniteSpace:
     pts = list(points)
     return make_space(pts, {p: {p} for p in pts})
@@ -356,21 +347,14 @@ def _build_rotation(params: Mapping) -> dict:
     m = _as_int(params, "m", 3, 1, 6)
     if n * m > 36:
         raise BadParams("n*m too large for the finite catalog (limit 36 points)")
-    points = [str(k) for k in range(n * m)]
-    space = _discrete_space(points)
-    group = _cyclic_group(n)
-    action = {
-        gname: {x: str((int(x) + int(gname) * m) % (n * m)) for x in points}
-        for gname in group["elements"]
-    }
-    g = transformation_groupoid(group, action, space, name="rotation")
-    haar = HaarSystem.counting(g)
+    g, haar = _translation_groupoid([n], [n * m], lambda a: (a[0] * m,), "rotation")
 
+    points = g.units.points
     companion_pairs = [
         (x, y) for x in points for y in points if int(x) % m == int(y) % m
     ]
     companion, companion_haar = relation_groupoid(
-        space, companion_pairs, "product", name="rotation companion"
+        g.units, companion_pairs, "product", name="rotation companion"
     )
     extras = {"companion": Analysis(companion, companion_haar), "n": n, "m": m}
 
@@ -402,6 +386,38 @@ def _product_group_points(orders: list[int]) -> list[tuple[int, ...]]:
 
 def _tuple_name(t: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in t)
+
+
+def _translation_groupoid(group_orders, space_orders, send, name):
+    """The product of cyclic groups of `group_orders` translating that of
+    `space_orders` by `send(a)`, with counting Haar system; points and group
+    elements are named by their comma-joined exponents."""
+    gpts = _product_group_points(group_orders)
+    spts = _product_group_points(space_orders)
+    space = _discrete_space([_tuple_name(t) for t in spts])
+    elems = [_tuple_name(t) for t in gpts]
+    group = {
+        "elements": elems,
+        "mul": {
+            (_tuple_name(a), _tuple_name(b)): _tuple_name(
+                tuple((x + y) % n for x, y, n in zip(a, b, group_orders))
+            )
+            for a in gpts
+            for b in gpts
+        },
+        "identity": _tuple_name(tuple(0 for _ in group_orders)),
+    }
+    action = {}
+    for a in gpts:
+        shift = send(a)
+        action[_tuple_name(a)] = {
+            _tuple_name(x): _tuple_name(
+                tuple((u + v) % n for u, v, n in zip(x, shift, space_orders))
+            )
+            for x in spts
+        }
+    g = transformation_groupoid(group, action, space, name=name)
+    return g, HaarSystem.counting(g)
 
 
 def crossed_product_pair(source_orders, target_orders, matrix):
@@ -442,36 +458,8 @@ def crossed_product_pair(source_orders, target_orders, matrix):
             for i in range(len(ns))
         )
 
-    def translation_groupoid(group_orders, space_orders, send, name):
-        gpts = _product_group_points(group_orders)
-        spts = _product_group_points(space_orders)
-        space = _discrete_space([_tuple_name(t) for t in spts])
-        elems = [_tuple_name(t) for t in gpts]
-        group = {
-            "elements": elems,
-            "mul": {
-                (_tuple_name(a), _tuple_name(b)): _tuple_name(
-                    tuple((x + y) % n for x, y, n in zip(a, b, group_orders))
-                )
-                for a in gpts
-                for b in gpts
-            },
-            "identity": _tuple_name(tuple(0 for _ in group_orders)),
-        }
-        action = {}
-        for a in gpts:
-            shift = send(a)
-            action[_tuple_name(a)] = {
-                _tuple_name(x): _tuple_name(
-                    tuple((u + v) % n for u, v, n in zip(x, shift, space_orders))
-                )
-                for x in spts
-            }
-        g = transformation_groupoid(group, action, space, name=name)
-        return g, HaarSystem.counting(g)
-
-    primal = translation_groupoid(ns, ms, phi, "fourier primal")
-    dual = translation_groupoid(ms, ns, phi_dual, "fourier dual")
+    primal = _translation_groupoid(ns, ms, phi, "fourier primal")
+    dual = _translation_groupoid(ms, ns, phi_dual, "fourier dual")
     return primal, dual
 
 
@@ -520,7 +508,7 @@ def _build_two_involutions(params: Mapping) -> dict:
         gg = b["groupoid"]
         f = _cartan.skandalis_element(gg)
         sub = b["analysis"].units
-        commutes = all(not _commutator_coords(f, v, b["haar"], None) for v in sub.basis)
+        commutes = all(convolve(f, v, b["haar"]) == convolve(v, f, b["haar"]) for v in sub.basis)
         return commutes and not sub.contains(f) and b["analysis"].algebra.cc.contains(f)
 
     def support_is_signed_isotropy(b):

@@ -199,9 +199,9 @@ def make_haar(g: Groupoid, weights: Mapping[str, int | Fraction], validate: bool
     validate=False builds a deliberately unchecked system; negative-control
     tests use it to demonstrate which algebra laws break without invariance.
     """
-    w = {a: Fraction(weights[a]) for a in g.arrows}
     if set(weights) != set(g.arrows):
         raise AxiomViolation("haar weights not total on the arrow set")
+    w = {a: Fraction(weights[a]) for a in g.arrows}
     if validate:
         for a, v in w.items():
             if v <= 0:

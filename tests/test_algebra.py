@@ -24,6 +24,7 @@ from gpd.algebra import (
     zero_element,
 )
 from gpd import algebra, catalog
+from gpd.cartan import Analysis
 from gpd.errors import (
     AxiomViolation,
     GroupoidMismatch,
@@ -475,6 +476,58 @@ def test_block_count_is_checked_against_the_exact_center(monkeypatch):
     monkeypatch.setattr(algebra, "_split_by_hermitian", lambda subspaces, h: subspaces)
     with pytest.raises(InvariantViolation, match="center has dimension 4"):
         block_structure(alg)
+
+
+def _catalog_algebras():
+    """A fresh algebra for every catalog entry and every companion model
+    (rotation's companion, fourier's dual, cocycle_klein untwisted)."""
+    out = []
+    for name in catalog.names():
+        bundle = catalog.build(name)
+        models = {name: bundle["analysis"]}
+        models.update((f"{name}/{k}", v) for k, v in bundle["extras"].items() if isinstance(v, Analysis))
+        for label, an in models.items():
+            out.append((label, concrete_algebra(an.groupoid, sigma=an.sigma, haar=an.haar)))
+    return out
+
+
+def test_closure_keeps_every_nonzero_product():
+    # Block splitting reads the closure's product table instead of forming
+    # products, so the table must hold exactly the nonzero products of all
+    # ordered pairs of the closed basis, as the naive all-pairs loop forms them.
+    algs = _catalog_algebras()
+    assert {"rotation/companion", "fourier/dual", "cocycle_klein/untwisted"} <= {n for n, _ in algs}
+    for name, alg in algs:
+        naive = {}
+        for (i, f), (j, h) in itertools.product(enumerate(alg.closed), repeat=2):
+            p = algebra._arrow_coords(convolve(f, h, alg.haar, alg.sigma))
+            if p:
+                naive[i, j] = p
+        assert alg._products == naive, name
+        assert alg._span.rank == alg.dim, name
+
+
+def test_block_splitting_forms_no_product(monkeypatch):
+    algs = _catalog_algebras()
+    calls = []
+    original = algebra.convolve
+    monkeypatch.setattr(algebra, "convolve", lambda *args: calls.append(args) or original(*args))
+    for name, alg in algs:
+        assert block_structure(alg)["sizes"], name
+        # the table is released once the structure is kept
+        assert alg._products is None and alg._span is None, name
+    assert calls == []
+
+
+def test_concrete_algebra_rejects_a_haar_system_or_cocycle_over_another_groupoid():
+    # The point names are disjoint, so no support arrows of the two
+    # groupoids ever compose: only an up-front check can see the mismatch.
+    g, _ = pair_groupoid(["a", "b"])
+    other, other_haar = pair_groupoid(["x", "y", "z"])
+    with pytest.raises(GroupoidMismatch):
+        concrete_algebra(g, haar=other_haar)
+    with pytest.raises(GroupoidMismatch):
+        concrete_algebra(g, sigma=trivial_cocycle(other))
 
 
 def test_block_structure_is_kept_on_the_algebra(a1):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gpd import cartan
-from gpd.algebra import CcSpace, concrete_algebra, convolve, delta, make_element, zero_element
+from gpd.algebra import CcSpace, cc_space, concrete_algebra, convolve, delta, make_element, zero_element
 from gpd.cartan import (
     Analysis,
     cartan_report,
@@ -219,6 +219,17 @@ def test_extension_counts_reject_an_algebra_over_another_groupoid():
     report = cartan_report(g1, None, haar1)
     with pytest.raises(GroupoidMismatch):
         uep_report(g1, None, haar1, algebra=concrete_algebra(g2, haar=haar2), report=report)
+
+
+def test_pair_reports_reject_inputs_over_another_groupoid():
+    # The point names are disjoint, so no support arrows of the two
+    # groupoids ever compose: only an up-front check can see the mismatch.
+    g, haar = pair_groupoid(["a", "b"])
+    other, other_haar = pair_groupoid(["x", "y", "z"])
+    with pytest.raises(GroupoidMismatch):
+        cartan_report(g, None, haar, cc=cc_space(other))
+    with pytest.raises(GroupoidMismatch):
+        uep_report(g, None, haar, algebra=concrete_algebra(other, haar=other_haar))
 
 
 def test_extension_counts_reuse_the_reports_unit_subalgebra(a1, monkeypatch):

@@ -255,3 +255,9 @@ def test_proper_closed_fails_on_cross_relations():
     for mode in ("product", "product_plus_diagonal"):
         g, _ = cross_relation(mode)
         assert not classify(g)["proper_closed"]
+
+
+def test_make_haar_rejects_a_partial_weight_map():
+    g, _ = pair_groupoid(["a", "b"])
+    with pytest.raises(AxiomViolation, match="not total"):
+        make_haar(g, {g.arrows[0]: 1})

@@ -119,11 +119,14 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # fourier's dual, cocycle_klein untwisted): 14 algebras, each split once;
     # pair reports for the 11 entries and the rotation companion, each
     # building B and checking its commutant once, which pair's Weyl round
-    # trip reuses. Products are formed only where the supports compose: a
-    # run that convolved every pair its loops meet would make 7 990.
+    # trip reuses. Products are formed only where the supports compose, and
+    # each once: the closure's product table serves block splitting, and one
+    # B-side table serves the unit and commutant conditions. A run that
+    # convolved every pair its loops meet would make 7 990, one that formed
+    # those products twice 1 725.
     _, _, counts = catalog_all
     assert counts == {
-        "algebra.convolve": 1725,
+        "algebra.convolve": 1188,
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
