@@ -18,15 +18,15 @@ as {arrow index: QC} rows for `qlin.Echelon`. The closure under products is
 the only place the closed algebra's products are formed: it keeps them as a
 table, which the simple-block analysis reads for the exact center
 (`block_structure(alg, basis=...)` closes the given basis the same way and
-raises NotClosed if its span grows). A product is formed only for a pair
-whose supports compose, that is when some source of the first factor's
-support is a range of the second's (`_composable`, on the `sources` and
-`ranges` each element caches); every other product is zero.
-`convolve` itself indexes the second factor by range, so it visits only the
-composable pairs of support arrows. The left regular
-representation over one unit per orbit is a faithful *-representation
-when the Haar system and the cocycle are validated, so these answers are
-those of the represented algebra. Its matrices are built only to check that
+raises NotClosed if its span grows). Every product of two lists of
+elements, here and in `cartan`, is formed by `_products`: it indexes the
+second list by the range points of the supports, so a pair is formed only
+when some source of the first factor's support is a range of the second's;
+every other product is zero. `convolve` itself indexes the second factor by
+range, so it visits only the composable pairs of support arrows. The left
+regular representation over one unit per orbit is a faithful
+*-representation when the Haar system and the cocycle are validated, so
+these answers are those of the represented algebra. Its matrices are built only to check that
 faithfulness, for `regular_rep`, and at the float boundary, where blocks
 are split and norms taken (`_conjugated`).
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -88,18 +87,6 @@ class AlgebraElement:
     def support(self) -> tuple[str, ...]:
         return tuple(sorted(self.coeffs))
 
-    @cached_property
-    def sources(self) -> frozenset[str]:
-        """The unit points at which the support's arrows start."""
-        s = self.groupoid.s
-        return frozenset(s[a] for a in self.coeffs)
-
-    @cached_property
-    def ranges(self) -> frozenset[str]:
-        """The unit points at which the support's arrows end."""
-        r = self.groupoid.r
-        return frozenset(r[a] for a in self.coeffs)
-
     def value(self, arrow: str) -> QC:
         return self.coeffs.get(arrow, ZERO)
 
@@ -138,6 +125,15 @@ def _require_over(g: Groupoid, *objs) -> None:
     """Raise GroupoidMismatch unless every given object lives over g."""
     if any(o is not None and o.groupoid is not g for o in objs):
         raise GroupoidMismatch("objects live over different groupoids")
+
+
+def _require_validated(haar: HaarSystem, sigma: Cocycle | None) -> None:
+    """Only a validated Haar system and cocycle make the regular
+    representation a *-homomorphism; raise for any other."""
+    if not haar.validated:
+        raise AxiomViolation("the algebra needs a validated Haar system")
+    if sigma is not None and not sigma.validated:
+        raise InvalidCocycle("the algebra needs a validated cocycle")
 
 
 def _same_groupoid(*objs) -> Groupoid:
@@ -229,12 +225,16 @@ def _topology_constraints(g: Groupoid) -> list[dict[int, QC]]:
             seen.add(key)
             rows.append(row)
 
+    # above[eta]: the other arrows whose minimal neighborhood holds eta
+    above: dict[str, list[str]] = {eta: [] for eta in g.arrows}
+    for gamma in g.arrows:
+        for eta in g.topo.min_nbhd[gamma] - {gamma}:
+            above[eta].append(gamma)
     for eta in g.arrows:
         for vmap in (g.s, g.r):
             clusters: dict[str, list[str]] = {}
-            for gamma in g.arrows:
-                if gamma != eta and eta in g.topo.min_nbhd[gamma]:
-                    clusters.setdefault(vmap[gamma], []).append(gamma)
+            for gamma in above[eta]:
+                clusters.setdefault(vmap[gamma], []).append(gamma)
             for cluster in clusters.values():
                 if len(cluster) >= 2:
                     emit(eta, cluster)
@@ -296,13 +296,6 @@ def trivial_cocycle(g: Groupoid) -> Cocycle:
     return Cocycle(g, {k: ONE for k in g.comp}, validated=True)
 
 
-def _composable(f: AlgebraElement, g: AlgebraElement) -> bool:
-    """Can f * g be nonzero? Only if some source of f's support is a range
-    of g's support; otherwise no pair of support arrows composes and the
-    product is exactly zero."""
-    return not f.sources.isdisjoint(g.ranges)
-
-
 def convolve(
     f: AlgebraElement,
     g: AlgebraElement,
@@ -333,6 +326,30 @@ def convolve(
             gamma = comp[(alpha, beta)]
             out[gamma] = out.get(gamma, ZERO) + term
     return AlgebraElement(gpd, _prune(out))
+
+
+def _products(xs, ys, haar=None, sigma=None, since=0) -> dict:
+    """{(i, j): xs[i] * ys[j]} over the nonzero products, in (i, j) order.
+
+    xs[i] * ys[j] is zero unless some source of xs[i]'s support is a range
+    of ys[j]'s, so ys are indexed by the range points of their supports and
+    each xs[i] meets only the ys its sources reach. The closure passes
+    `since` to form only the pairs with i >= since or j >= since."""
+    by_range: dict[str, set[int]] = {}
+    for j, y in enumerate(ys):
+        for b in y.coeffs:
+            by_range.setdefault(y.groupoid.r[b], set()).add(j)
+    out = {}
+    for i, x in enumerate(xs):
+        reach = set()
+        for a in x.coeffs:
+            reach.update(by_range.get(x.groupoid.s[a], ()))
+        for j in sorted(reach):
+            if i >= since or j >= since:
+                p = convolve(x, ys[j], haar, sigma)
+                if p.coeffs:
+                    out[i, j] = p
+    return out
 
 
 def star(f: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
@@ -519,10 +536,7 @@ def concrete_algebra(
     over another groupoid (GroupoidMismatch)."""
     _require_over(g, haar, sigma)
     haar = haar if haar is not None else HaarSystem.counting(g)
-    if not haar.validated:
-        raise AxiomViolation("the algebra needs a validated Haar system")
-    if sigma is not None and not sigma.validated:
-        raise InvalidCocycle("the algebra needs a validated cocycle")
+    _require_validated(haar, sigma)
     cc = cc_space(g)
     reps = tuple(orb[0] for orb in orbits(g))
     fibers = {x: g.s_fiber.get(x, ()) for x in reps}
@@ -553,10 +567,9 @@ def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
 
     Semi-naive: every pair of closed[:old] was multiplied in an earlier
     round, and the span only grows, so a round multiplies just the pairs
-    (i, j) that involve an element added in the round before, and of those
-    only the pairs whose supports compose (the rest are zero). The last
-    round adds nothing, so the table holds every nonzero product, each
-    formed once."""
+    (i, j) that involve an element added in the round before (`_products`
+    with `since`). The last round adds nothing, so the table holds every
+    nonzero product, each formed once."""
     closed = list(basis)
     span = Echelon()
     for f in closed:
@@ -565,17 +578,11 @@ def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
     old = 0
     while True:
         current = len(closed)
-        for i in range(current):
-            fi = closed[i]
-            for j in range(old if i < old else 0, current):
-                if not _composable(fi, closed[j]):
-                    continue
-                p = convolve(fi, closed[j], haar, sigma)
-                coords = _arrow_coords(p)
-                if coords:
-                    products[i, j] = coords
-                    if span.add(coords):
-                        closed.append(p)
+        for (i, j), p in _products(closed, closed, haar, sigma, since=old).items():
+            coords = _arrow_coords(p)
+            products[i, j] = coords
+            if span.add(coords):
+                closed.append(p)
         if len(closed) == current:
             break
         old = current

@@ -35,12 +35,13 @@ from .algebra import (
     ConcreteAlgebra,
     _arrow_coords,
     _commutation_rows,
-    _composable,
     _conjugated,
     _kernel_space,
     _numeric_rank,
+    _products,
     _prune,
     _require_over,
+    _require_validated,
     _sqrt_weights,
     _topology_constraints,
     cc_space,
@@ -103,10 +104,8 @@ def minimal_idempotents(
     """
     g = b.groupoid
     haar = haar if haar is not None else HaarSystem.counting(g)
-    for p in b.basis:
-        for q in b.basis:
-            if _composable(p, q) and not b.contains(convolve(p, q, haar)):
-                raise NotMasa("unit subalgebra is not closed under products")
+    if not all(b.contains(p) for p in _products(b.basis, b.basis, haar).values()):
+        raise NotMasa("unit subalgebra is not closed under products")
     evals: dict[str, tuple] = {}
     for x in g.units.points:
         w = _unit_weight(g, haar, x)
@@ -157,13 +156,8 @@ def _side_products(cc: CcSpace, b: CcSpace, haar: HaarSystem, sigma: Cocycle | N
     """(bm, mb): bm[i, j] and mb[i, j] are the nonzero arrow coordinates of
     b_j * m_i and of m_i * b_j, over the admissible basis m_i and the basis
     b_j of B, each product formed once."""
-    bm, mb = {}, {}
-    for i, m in enumerate(cc.basis):
-        for j, bj in enumerate(b.basis):
-            for table, x, y in ((bm, bj, m), (mb, m, bj)):
-                p = _arrow_coords(convolve(x, y, haar, sigma)) if _composable(x, y) else None
-                if p:
-                    table[i, j] = p
+    bm = {(i, j): _arrow_coords(p) for (j, i), p in _products(b.basis, cc.basis, haar, sigma).items()}
+    mb = {ij: _arrow_coords(p) for ij, p in _products(cc.basis, b.basis, haar, sigma).items()}
     return bm, mb
 
 
@@ -218,16 +212,14 @@ def _normalizes(
     sigma: Cocycle | None,
 ) -> bool:
     """Do a * bj * a^* and a^* * bj * a lie in B for every basis element bj?
-    A product whose supports do not compose is zero, which B contains."""
+    A zero x * bj gives zero, which B contains; a nonzero one ends where x
+    does, so it always composes with the other factor."""
     a_star = star(a, sigma)
-    for bj in b.basis:
-        for x, y in ((a, a_star), (a_star, a)):
-            if not _composable(x, bj):
-                continue
-            xb = convolve(x, bj, haar, sigma)
-            if _composable(xb, y) and not b.contains(convolve(xb, y, haar, sigma)):
-                return False
-    return True
+    return all(
+        b.contains(convolve(xb, y, haar, sigma))
+        for x, y in ((a, a_star), (a_star, a))
+        for xb in _products([x], b.basis, haar, sigma).values()
+    )
 
 
 def _bisection_candidates(
@@ -295,12 +287,10 @@ def _expectation_flags(
         u = g.unit_arrow[x]
         meeting = fibre_parts.get(x, {})
         parts = [AlgebraElement(g, c) for c in meeting.values()]
+        gram = _products([star(p, sigma) for p in parts], parts, haar, sigma)
         h = [
-            [
-                convolve(pj_star, pi, haar, sigma).value(u) if _composable(pj_star, pi) else ZERO
-                for pi in parts
-            ]
-            for pj_star in (star(pj, sigma) for pj in parts)
+            [gram[j, i].value(u) if (j, i) in gram else ZERO for i in range(len(parts))]
+            for j in range(len(parts))
         ]
         if positive and not hermitian_is_psd(h):
             positive = False
@@ -324,8 +314,11 @@ def cartan_report(
     haar: HaarSystem | None = None,
     cc: CcSpace | None = None,
 ) -> CartanReport:
+    """The four conditions for the pair (A, B) on the admissible space `cc`.
+    Like `concrete_algebra`, it rejects an unvalidated Haar system or cocycle."""
     _require_over(g, sigma, haar, cc)
     haar = haar if haar is not None else HaarSystem.counting(g)
+    _require_validated(haar, sigma)
     cc = cc if cc is not None else cc_space(g)
     b = unit_subalgebra(g)
     sides = _side_products(cc, b, haar, sigma)
@@ -516,16 +509,12 @@ def _reconstruct(algebra: ConcreteAlgebra, b: CcSpace) -> tuple[Groupoid, HaarSy
     haar, sigma = algebra.haar, algebra.sigma
     spectrum = [(min(pts), idem) for pts, idem in minimal_idempotents(b, haar)]
     labels = [x for x, _ in spectrum]
+    idems = [idem for _, idem in spectrum]
     pairs = []
     for x, px in spectrum:
-        left = [
-            pm
-            for pm in (convolve(px, m, haar, sigma) for m in algebra.closed if _composable(px, m))
-            if pm.coeffs
-        ]
-        for y, py in spectrum:
-            if any(_composable(pm, py) and convolve(pm, py, haar, sigma).coeffs for pm in left):
-                pairs.append((x, y))
+        left = list(_products([px], algebra.closed, haar, sigma).values())
+        linked = {j for _, j in _products(left, idems, haar, sigma)}
+        pairs += [(x, labels[j]) for j in sorted(linked)]
     space = make_space(labels, {x: {x} for x in labels})
     return relation_groupoid(space, pairs, "product", name="weyl relation")
 

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import catalog as _catalog
 from .algebra import (
@@ -364,7 +365,9 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------- entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gpd",
         description="Finite topological groupoids, their twisted convolution "

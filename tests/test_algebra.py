@@ -24,7 +24,7 @@ from gpd.algebra import (
     zero_element,
 )
 from gpd import algebra, catalog
-from gpd.cartan import Analysis
+from gpd.cartan import Analysis, unit_subalgebra
 from gpd.errors import (
     AxiomViolation,
     GroupoidMismatch,
@@ -187,7 +187,7 @@ def _by_source(g, mass):
 
 def test_convolve_matches_the_all_pairs_kernel_on_arrow_pairs():
     # Every pair of point masses: the product is nonzero exactly when the
-    # pair composes, and `_composable` says so.
+    # pair composes, and `_products` forms it exactly then.
     for name in catalog.names():
         g, haar, sigma = _entry(name)
         spread = _by_source(g, {x: i + 1 for i, x in enumerate(g.units.points)})
@@ -198,7 +198,8 @@ def test_convolve_matches_the_all_pairs_kernel_on_arrow_pairs():
                 got = convolve(f, k, h, s)
                 assert got == naive_convolve.convolve(f, k, h, s), (name, f.support, k.support)
                 composes = g.s[f.support[0]] == g.r[k.support[0]]
-                assert algebra._composable(f, k) == composes == bool(got.coeffs)
+                assert composes == bool(got.coeffs)
+                assert algebra._products([f], [k], h, s) == ({(0, 0): got} if composes else {})
 
 
 @st.composite
@@ -225,8 +226,8 @@ def test_convolve_matches_the_all_pairs_kernel(drawn):
     got = convolve(f, h, haar, sigma)
     want = naive_convolve.convolve(f, h, haar, sigma)
     assert list(got.coeffs.items()) == list(want.coeffs.items())
-    if not algebra._composable(f, h):
-        assert got == zero_element(f.groupoid)
+    # `_products` skips a pair only when its product is zero
+    assert algebra._products([f], [h], haar, sigma) == ({(0, 0): got} if got.coeffs else {})
 
 
 # ----------------------------------------------------------------- involution
@@ -517,6 +518,64 @@ def test_block_splitting_forms_no_product(monkeypatch):
         # the table is released once the structure is kept
         assert alg._products is None and alg._span is None, name
     assert calls == []
+
+
+def _composable_pairs(xs, ys, since=0):
+    """The (i, j) whose supports compose, some source of xs[i]'s support
+    being a range of ys[j]'s, with i >= since or j >= since, in (i, j) order."""
+    g = xs[0].groupoid
+    return [
+        (i, j)
+        for (i, f), (j, h) in itertools.product(enumerate(xs), enumerate(ys))
+        if max(i, j) >= since and any(g.s[a] == g.r[b] for a in f.coeffs for b in h.coeffs)
+    ]
+
+
+def _counting_convolve(monkeypatch):
+    calls = []
+    original = algebra.convolve
+    monkeypatch.setattr(algebra, "convolve", lambda f, h, *rest: calls.append((f, h)) or original(f, h, *rest))
+    return calls, original
+
+
+def _formed(calls, xs, ys):
+    """The (i, j) of each recorded `convolve(xs[i], ys[j])` call, in call order."""
+    def position(zs, z):
+        return next(i for i, y in enumerate(zs) if y is z)
+
+    return [(position(xs, f), position(ys, h)) for f, h in calls]
+
+
+def test_products_form_each_composable_pair_once(monkeypatch):
+    # Over every catalog closed basis, admissible basis and basis of B, in
+    # every combination: the naive all-pairs table of nonzero products, in
+    # (i, j) order, from one `convolve` call per pair whose supports compose.
+    calls, original = _counting_convolve(monkeypatch)
+    for name, alg in _catalog_algebras():
+        lists = (alg.closed, alg.cc.basis, unit_subalgebra(alg.groupoid).basis)
+        for xs, ys in itertools.product(lists, repeat=2):
+            naive = {}
+            for (i, f), (j, h) in itertools.product(enumerate(xs), enumerate(ys)):
+                p = original(f, h, alg.haar, alg.sigma)
+                if p.coeffs:
+                    naive[i, j] = p
+            calls.clear()
+            got = algebra._products(xs, ys, alg.haar, alg.sigma)
+            assert list(got) == list(naive) and got == naive, name
+            assert _formed(calls, xs, ys) == _composable_pairs(xs, ys), name
+
+
+def test_products_since_forms_only_the_pairs_with_a_later_factor(monkeypatch):
+    calls, _ = _counting_convolve(monkeypatch)
+    for name, alg in _catalog_algebras():
+        xs = alg.closed
+        full = algebra._products(xs, xs, alg.haar, alg.sigma)
+        for since in sorted({0, 1, len(xs) // 2, len(xs) - 1, len(xs)}):
+            calls.clear()
+            got = algebra._products(xs, xs, alg.haar, alg.sigma, since=since)
+            want = {ij: p for ij, p in full.items() if max(ij) >= since}
+            assert list(got) == list(want) and got == want, (name, since)
+            assert _formed(calls, xs, xs) == _composable_pairs(xs, xs, since), (name, since)
 
 
 def test_concrete_algebra_rejects_a_haar_system_or_cocycle_over_another_groupoid():

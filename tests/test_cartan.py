@@ -3,7 +3,16 @@ import itertools
 import pytest
 
 from gpd import cartan
-from gpd.algebra import CcSpace, cc_space, concrete_algebra, convolve, delta, make_element, zero_element
+from gpd.algebra import (
+    CcSpace,
+    cc_space,
+    concrete_algebra,
+    convolve,
+    delta,
+    make_cocycle,
+    make_element,
+    zero_element,
+)
 from gpd.cartan import (
     Analysis,
     cartan_report,
@@ -14,8 +23,8 @@ from gpd.cartan import (
     uep_report,
     weyl_relation,
 )
-from gpd.errors import GroupoidMismatch, NotMasa, WrongShape
-from gpd.groupoid import classify, pair_groupoid
+from gpd.errors import AxiomViolation, GroupoidMismatch, InvalidCocycle, NotMasa, WrongShape
+from gpd.groupoid import classify, make_haar, pair_groupoid
 
 
 def algebra_of(model):
@@ -230,6 +239,23 @@ def test_pair_reports_reject_inputs_over_another_groupoid():
         cartan_report(g, None, haar, cc=cc_space(other))
     with pytest.raises(GroupoidMismatch):
         uep_report(g, None, haar, algebra=concrete_algebra(other, haar=other_haar))
+
+
+def test_pair_report_rejects_an_unvalidated_haar_system():
+    # Weights that are not invariant: the convolution is no *-algebra, so
+    # there is no pair to report on.
+    g, _ = pair_groupoid(["p", "q"], name="pq")
+    haar = make_haar(g, {a: (2 if a == "p~q" else 1) for a in g.arrows}, validate=False)
+    with pytest.raises(AxiomViolation, match="validated Haar system"):
+        cartan_report(g, haar=haar)
+
+
+def test_pair_report_rejects_an_unvalidated_cocycle(klein):
+    table = dict(klein["sigma"].sigma)
+    table[("10", "10")] = -table[("10", "10")]
+    fake = make_cocycle(klein["g"], table, check=False)
+    with pytest.raises(InvalidCocycle, match="validated cocycle"):
+        cartan_report(klein["g"], fake, klein["haar"])
 
 
 def test_extension_counts_reuse_the_reports_unit_subalgebra(a1, monkeypatch):

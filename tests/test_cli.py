@@ -211,6 +211,16 @@ def test_out_writes_file_and_text_mirrors_json(capsys, tmp_path):
     assert rep["algebra"]["blocks"] == [3]  # same content as the text line
 
 
+def test_main_builds_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    first = run(capsys, "catalog", "--entry", "pair", "--json").out
+    listing = run(capsys, "catalog").out
+    assert run(capsys, "catalog", "--entry", "pair", "--json").out == first
+    assert run(capsys, "catalog").out == listing
+    assert json.loads(first)["entry"] == "pair"
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_reports_are_deterministic(capsys):
     one = run(capsys, "catalog", "--entry", "cross_a2", "--json").out
     two = run(capsys, "catalog", "--entry", "cross_a2", "--json").out
