@@ -225,16 +225,15 @@ def _topology_constraints(g: Groupoid) -> list[dict[int, QC]]:
             seen.add(key)
             rows.append(row)
 
-    # above[eta]: the other arrows whose minimal neighborhood holds eta
-    above: dict[str, list[str]] = {eta: [] for eta in g.arrows}
-    for gamma in g.arrows:
-        for eta in g.topo.min_nbhd[gamma] - {gamma}:
-            above[eta].append(gamma)
+    # topo.above[eta]: the arrows, in arrow order, whose minimal
+    # neighborhood holds eta; eta itself is skipped
+    above = g.topo.above
     for eta in g.arrows:
         for vmap in (g.s, g.r):
             clusters: dict[str, list[str]] = {}
             for gamma in above[eta]:
-                clusters.setdefault(vmap[gamma], []).append(gamma)
+                if gamma != eta:
+                    clusters.setdefault(vmap[gamma], []).append(gamma)
             for cluster in clusters.values():
                 if len(cluster) >= 2:
                     emit(eta, cluster)

@@ -210,15 +210,18 @@ def _normalizes(
     b: CcSpace,
     haar: HaarSystem,
     sigma: Cocycle | None,
+    a_b: list[AlgebraElement] | None = None,
 ) -> bool:
     """Do a * bj * a^* and a^* * bj * a lie in B for every basis element bj?
     A zero x * bj gives zero, which B contains; a nonzero one ends where x
-    does, so it always composes with the other factor."""
+    does, so it always composes with the other factor. `a_b`, when given,
+    holds the nonzero products a * bj already formed."""
     a_star = star(a, sigma)
-    return all(
-        b.contains(convolve(xb, y, haar, sigma))
-        for x, y in ((a, a_star), (a_star, a))
-        for xb in _products([x], b.basis, haar, sigma).values()
+    if a_b is None:
+        a_b = _products([a], b.basis, haar, sigma).values()
+    return all(b.contains(convolve(ab, a_star, haar, sigma)) for ab in a_b) and all(
+        b.contains(convolve(sb, a, haar, sigma))
+        for sb in _products([a_star], b.basis, haar, sigma).values()
     )
 
 
@@ -348,14 +351,18 @@ def cartan_report(
 
     # Condition 3: bisection-supported normalizers spanning the admissible space.
     # A candidate already in the span reached could not enlarge it, so it is
-    # skipped before the normalizer test.
+    # skipped before the normalizer test. The first cc.dim candidates are the
+    # admissible basis, whose products m_i * b_j the side table `mb` holds.
+    m_b: dict[int, list[AlgebraElement]] = {i: [] for i in range(cc.dim)}
+    for (i, _), coords in sides[1].items():
+        m_b[i].append(AlgebraElement(g, {g.arrows[k]: v for k, v in coords.items()}))
     family: list[AlgebraElement] = []
     reached = Echelon()
-    for cand in _bisection_candidates(g, cc, sigma):
+    for n, cand in enumerate(_bisection_candidates(g, cc, sigma)):
         if not cand.coeffs or not _support_in_open_bisection(g, cand):
             continue
         v = _arrow_coords(cand)
-        if reached.contains(v) or not _normalizes(cand, b, haar, sigma):
+        if reached.contains(v) or not _normalizes(cand, b, haar, sigma, m_b.get(n)):
             continue
         reached.add(v)
         family.append(cand)

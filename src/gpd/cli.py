@@ -15,13 +15,15 @@ Every report is deterministic (keys and identifiers sorted). `--json` emits
 the machine form; the default text form mirrors the same content. Exit code
 0 means success with no failed manifest assertion, 1 means at least one
 manifest assertion failed, 2 means a bad document, bad parameters, or an
-unknown entry.
+unknown entry. A reader that closes the output early (`gpd ... | head`)
+ends the run quietly with exit code 141, as a shell reports SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -445,7 +447,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed pipe is met inside this block
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull, so that the flush at
+        # interpreter exit cannot fail again (the recipe of the Python docs
+        # on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

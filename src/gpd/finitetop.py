@@ -5,11 +5,20 @@ y) iff y lies in every open set around x, iff y is in the minimal open
 neighborhood U_x. All operations here are pure and combinatorial; the full
 open-set family is never materialized, opens are recognized as unions of
 minimal neighborhoods.
+
+Dually, the closure of a point y is its up-set, the points x with y in U_x,
+and the closure of a set is the union of the up-sets of its points (McCord,
+*Singular homology groups and homotopy groups of finite topological
+spaces*, Duke Math. J. 33, 1966; Barmak, *Algebraic Topology of Finite
+Topological Spaces and Applications*, LNM 2032, 2011). A space computes its
+up-sets once, so a closure costs the size of the up-sets it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadPartition, PreorderViolation, UnknownPoint
@@ -43,9 +52,23 @@ class FiniteSpace:
         except KeyError:
             raise UnknownPoint(f"point {x!r} is not in the space") from None
 
+    @cached_property
+    def point_set(self) -> frozenset[str]:
+        return frozenset(self.points)
+
+    @cached_property
+    def above(self) -> Mapping[str, tuple[str, ...]]:
+        """above[y]: the points, in point order, whose minimal neighborhood
+        holds y; that is the closure of {y}."""
+        up: dict[str, list[str]] = {y: [] for y in self.points}
+        for x in self.points:
+            for y in self.min_nbhd[x]:
+                up[y].append(x)
+        return {y: tuple(xs) for y, xs in up.items()}
+
     def check_points(self, subset: Iterable[str]) -> frozenset[str]:
         sub = frozenset(subset)
-        stray = sub - set(self.points)
+        stray = sub - self.point_set
         if stray:
             raise UnknownPoint(f"points not in the space: {sorted(stray)}")
         return sub
@@ -87,13 +110,14 @@ def is_open(space: FiniteSpace, subset: Iterable[str]) -> bool:
 
 
 def closure(space: FiniteSpace, subset: Iterable[str]) -> frozenset[str]:
-    """Closure of a set: all points whose minimal neighborhood meets it."""
+    """Closure of a set: all points whose minimal neighborhood meets it,
+    the union of the up-sets of its points."""
     sub = space.check_points(subset)
-    return frozenset(x for x in space.points if space.min_nbhd[x] & sub)
+    return frozenset(chain.from_iterable(space.above[y] for y in sub))
 
 
 def is_dense(space: FiniteSpace, subset: Iterable[str]) -> bool:
-    return closure(space, subset) == frozenset(space.points)
+    return closure(space, subset) == space.point_set
 
 
 def _separated(space: FiniteSpace, x: str, y: str) -> bool:
@@ -118,25 +142,30 @@ def separation_report(space: FiniteSpace) -> dict:
     }
 
 
-def map_report(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> dict:
-    """Continuity/openness/closedness/homeomorphism flags for a point map."""
-    if set(f) != set(src.points):
+def _continuous(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> bool:
+    """Is the point map f, checked total into dst, continuous? It is exactly
+    when it sends each minimal neighborhood U_x into U_f(x)."""
+    if set(f) != src.point_set:
         raise UnknownPoint("map is not total on the source points")
     for x, y in f.items():
         if y not in dst.min_nbhd:
             raise UnknownPoint(f"map sends {x!r} to unknown point {y!r}")
-
-    continuous = all(
+    return all(
         f[y] in dst.min_nbhd[f[x]] for x in src.points for y in src.min_nbhd[x]
     )
+
+
+def map_report(f: Mapping[str, str], src: FiniteSpace, dst: FiniteSpace) -> dict:
+    """Continuity/openness/closedness/homeomorphism flags for a point map."""
+    continuous = _continuous(f, src, dst)
     # Finite opens are unions of minimal neighborhoods, so it is enough to
     # check images of minimal neighborhoods / closures of points.
     open_flag = all(
         is_open(dst, {f[y] for y in src.min_nbhd[x]}) for x in src.points
     )
     closed_flag = all(
-        closure(dst, {f[y] for y in closure(src, {x})})
-        == frozenset(f[y] for y in closure(src, {x}))
+        closure(dst, {f[y] for y in src.above[x]})
+        == frozenset(f[y] for y in src.above[x])
         for x in src.points
     )
     bijective = len(set(f.values())) == len(src.points) == len(dst.points)
@@ -171,14 +200,14 @@ def _check_partition(space: FiniteSpace, partition: Sequence[Iterable[str]]) -> 
     for b in blocks:
         if not b:
             raise BadPartition("empty block")
-        stray = b - set(space.points)
+        stray = b - space.point_set
         if stray:
             raise BadPartition(f"block mentions unknown points {sorted(stray)}")
         if b & seen:
             raise BadPartition(f"blocks overlap at {sorted(b & seen)}")
         seen |= b
-    if seen != set(space.points):
-        raise BadPartition(f"blocks miss points {sorted(set(space.points) - seen)}")
+    if seen != space.point_set:
+        raise BadPartition(f"blocks miss points {sorted(space.point_set - seen)}")
     return blocks
 
 

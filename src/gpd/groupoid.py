@@ -26,11 +26,11 @@ from .errors import (
 )
 from .finitetop import (
     FiniteSpace,
+    _continuous,
     closure,
     is_open,
     make_space,
     map_report,
-    product,
 )
 
 __all__ = [
@@ -107,7 +107,9 @@ def make_groupoid(
     if set(inv) != aset or set(inv.values()) != aset:
         raise AxiomViolation("inv is not a bijection of the arrow set")
 
-    composable = {(a, b) for a in arrs for b in arrs if s[a] == r[b]}
+    r_fiber = _index_fibers(arrs, r)
+    s_fiber = _index_fibers(arrs, s)
+    composable = {(a, b) for a in arrs for b in r_fiber.get(s[a], ())}
     if set(comp) != composable:
         bad = set(comp) ^ composable
         raise AxiomViolation(f"comp domain mismatch at pairs {sorted(bad)[:3]}")
@@ -118,7 +120,7 @@ def make_groupoid(
     if unit_arrow is None:
         unit_arrow = {}
         for x in units.points:
-            cands = [a for a in arrs if r[a] == x and s[a] == x and comp[(a, a)] == a]
+            cands = [a for a in s_fiber.get(x, ()) if r[a] == x and comp[(a, a)] == a]
             if len(cands) != 1:
                 raise AxiomViolation(
                     f"cannot identify the unit arrow at {x!r} (candidates {cands})"
@@ -147,17 +149,15 @@ def make_groupoid(
         if r[c] != r[a] or s[c] != s[b]:
             raise AxiomViolation(f"r/s of composite {(a, b)} inconsistent")
 
-    r_fiber = _index_fibers(arrs, r)
-    s_fiber = _index_fibers(arrs, s)
     for (a, b), ab in comp.items():
         for c in r_fiber.get(s[b], ()):
             if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
                 raise AxiomViolation(f"associativity fails at triple ({a!r},{b!r},{c!r})")
 
     topo = make_space(arrs, arrow_min_nbhd)
-    if not map_report(dict(r), topo, units)["continuous"]:
+    if not _continuous(r, topo, units):
         raise TopologyViolation("range map is not continuous")
-    if not map_report(dict(s), topo, units)["continuous"]:
+    if not _continuous(s, topo, units):
         raise TopologyViolation("source map is not continuous")
     image = {unit_arrow[x] for x in units.points}
     for x in units.points:
@@ -218,7 +218,7 @@ def isotropy(g: Groupoid, x: str) -> dict:
     """The isotropy group at a unit point, with its multiplication table."""
     if x not in g.units.min_nbhd:
         raise UnknownPoint(f"{x!r} is not a unit point")
-    elems = tuple(sorted(a for a in g.arrows if g.r[a] == x and g.s[a] == x))
+    elems = tuple(a for a in g.s_fiber.get(x, ()) if g.r[a] == x)
     table = {(a, b): g.comp[(a, b)] for a in elems for b in elems}
     eset = set(elems)
     if not all(c in eset for c in table.values()):
@@ -280,11 +280,14 @@ def _fiberwise_hausdorff(g: Groupoid) -> bool:
 
 
 def _proper_closed(g: Groupoid) -> bool:
-    uu = product(g.units, g.units)
+    """Does (r, s) send the closure of each arrow to a closed set of X×X?
+    The closure of a pair (x, y) in the product is above[x] × above[y]."""
+    above = g.units.above
     for a in g.arrows:
-        img = {f"{g.r[e]}|{g.s[e]}" for e in closure(g.topo, {a})}
-        if closure(uu, img) != frozenset(img):
-            return False
+        img = {(g.r[e], g.s[e]) for e in g.topo.above[a]}
+        for x, y in img:
+            if any((p, q) not in img for p in above[x] for q in above[y]):
+                return False
     return True
 
 
@@ -316,12 +319,12 @@ def effective(g: Groupoid) -> bool:
 def classify(g: Groupoid) -> dict:
     trivial = tuple(
         x for x in g.units.points
-        if all(a == g.unit_arrow[x] for a in g.arrows if g.r[a] == x and g.s[a] == x)
+        if all(a == g.unit_arrow[x] for a in g.s_fiber.get(x, ()) if g.r[a] == x)
     )
     et = _is_etale(g)
     return {
         "principal": len(trivial) == len(g.units.points),
-        "topologically_principal": closure(g.units, trivial) == frozenset(g.units.points),
+        "topologically_principal": closure(g.units, trivial) == g.units.point_set,
         "effective": effective(g) if et else None,
         "etale": et,
         "hausdorff_arrows": _fiberwise_hausdorff(g),
@@ -413,7 +416,7 @@ def relation_groupoid(
     shrinks the neighborhoods of the unit arrows.
     """
     rel = {(x, y) for x, y in pairs}
-    pts = set(space.points)
+    pts = space.point_set
     for x, y in rel:
         if x not in pts or y not in pts:
             raise UnknownPoint(f"relation pair ({x!r},{y!r}) off the space")
@@ -423,9 +426,13 @@ def relation_groupoid(
     for x, y in rel:
         if (y, x) not in rel:
             raise NotEquivalence(f"missing symmetric pair for ({x!r},{y!r})")
+    # starting_at[y]: each z with (y, z) in rel, in the order of rel
+    starting_at: dict[str, list[str]] = {}
+    for y, z in rel:
+        starting_at.setdefault(y, []).append(z)
     for x, y in rel:
-        for y2, z in rel:
-            if y2 == y and (x, z) not in rel:
+        for z in starting_at[y]:
+            if (x, z) not in rel:
                 raise NotEquivalence(f"missing transitive pair ({x!r},{z!r})")
     if topology_mode not in ("product", "product_plus_diagonal"):
         raise ValueError(f"unknown topology mode {topology_mode!r}")
@@ -434,11 +441,11 @@ def relation_groupoid(
     r = {relation_arrow(x, y): x for x, y in rel}
     s = {relation_arrow(x, y): y for x, y in rel}
     inv = {relation_arrow(x, y): relation_arrow(y, x) for x, y in rel}
-    comp = {}
-    for x, y in rel:
-        for y2, z in rel:
-            if y2 == y:
-                comp[(relation_arrow(x, y), relation_arrow(y, z))] = relation_arrow(x, z)
+    comp = {
+        (relation_arrow(x, y), relation_arrow(y, z)): relation_arrow(x, z)
+        for x, y in rel
+        for z in starting_at[y]
+    }
     nbhd = {}
     for x, y in rel:
         base = {

@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import gpd
 
 from gpd import catalog, cli
 from gpd.catalog import CatalogEntry
@@ -225,3 +231,33 @@ def test_reports_are_deterministic(capsys):
     one = run(capsys, "catalog", "--entry", "cross_a2", "--json").out
     two = run(capsys, "catalog", "--entry", "cross_a2", "--json").out
     assert one == two
+
+
+# Waits on stdin before it runs gpd, so that the test can close the pipe
+# first: every write gpd then makes meets a closed pipe.
+GATED_CLI = (
+    "import sys\n"
+    "from gpd import cli\n"
+    "print('ready', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    # `gpd catalog --entry pair --json | head -5`: the reader takes a line
+    # and goes away. gpd must exit nonzero without a traceback on stderr.
+    src = str(pathlib.Path(gpd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", GATED_CLI, "catalog", "--entry", "pair", "--json"]
+    with subprocess.Popen(
+        argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline() == b"ready\n"
+        proc.stdout.close()
+        proc.stdin.write(b"go\n")
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 141

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_topology as naive
 from gpd.errors import BadPartition, PreorderViolation, UnknownPoint
 from gpd.finitetop import (
+    FiniteSpace,
     closure,
     is_dense,
     is_open,
@@ -13,6 +17,7 @@ from gpd.finitetop import (
     quotient_separation_report,
     separation_report,
 )
+from gpd.groupoid import _proper_closed
 
 # 5-point model of the interval [-1, 1]: two closed ends, two open generic
 # points, a closed center.
@@ -241,3 +246,74 @@ def test_hausdorff_implies_t1_implies_discrete(space):
         # on a finite space T1 forces discreteness
         assert all(space.min_nbhd[x] == {x} for x in space.points)
         assert rep["is_hausdorff"]
+
+
+# --- differential tests against the definitional forms ---------------------
+# (tests/naive_topology.py: closures by scanning every point, properness
+# through the product space)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces(), st.data())
+def test_closure_and_openness_match_the_definitional_forms(space, data):
+    pts = list(space.points)
+    for y in pts:
+        assert space.above[y] == tuple(x for x in pts if y in space.min_nbhd[x])
+    sub = data.draw(st.sets(st.sampled_from(pts)))
+    assert closure(space, sub) == naive.closure(space, sub)
+    assert is_open(space, sub) == naive.is_open(space, sub)
+    assert outcome(closure, space, sub | {"ghost"}) == outcome(naive.closure, space, sub | {"ghost"})
+
+
+@st.composite
+def point_maps(draw, src: FiniteSpace, dst: FiniteSpace):
+    """A map of src's points into dst; now and then partial, or off dst."""
+    f = {x: draw(st.sampled_from(dst.points)) for x in src.points}
+    broken = draw(st.sampled_from(["total"] * 6 + ["partial", "stray"]))
+    if broken == "partial":
+        del f[draw(st.sampled_from(src.points))]
+    elif broken == "stray":
+        f[draw(st.sampled_from(src.points))] = "ghost"
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces(), spaces(), st.data())
+def test_map_report_matches_the_definitional_form(src, dst, data):
+    f = data.draw(point_maps(src, dst))
+    assert outcome(map_report, f, src, dst) == outcome(naive.map_report, f, src, dst)
+    # a self-map that is a permutation exercises the homeomorphism flag
+    perm = dict(zip(src.points, data.draw(st.permutations(src.points))))
+    assert map_report(perm, src, src) == naive.map_report(perm, src, src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(), spaces(), st.data())
+def test_proper_closed_matches_the_product_space(units, arrows, data):
+    # _proper_closed reads only the arrow space, the unit space and r, s, so
+    # any two spaces and any two maps make a test case, proper or not.
+    r = {a: data.draw(st.sampled_from(units.points)) for a in arrows.points}
+    s = {a: data.draw(st.sampled_from(units.points)) for a in arrows.points}
+    g = SimpleNamespace(arrows=arrows.points, topo=arrows, units=units, r=r, s=s)
+    assert _proper_closed(g) == naive.proper_closed(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spaces())
+def test_proper_closed_reads_both_up_sets(units):
+    # one arrow over each pair of units: proper exactly when the point
+    # (x, y) of the product space is closed
+    one = make_space(["e"], {"e": {"e"}})
+    uu = product(units, units)
+    for x in units.points:
+        for y in units.points:
+            g = SimpleNamespace(arrows=one.points, topo=one, units=units, r={"e": x}, s={"e": y})
+            assert _proper_closed(g) == (naive.closure(uu, {f"{x}|{y}"}) == {f"{x}|{y}"})

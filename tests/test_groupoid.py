@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import naive_topology as naive
+from gpd import algebra as A
+from gpd import catalog
 from gpd.errors import (
     AxiomViolation,
     EffectivenessRequiresEtale,
@@ -24,6 +28,7 @@ from gpd.groupoid import (
     relation_groupoid,
     transformation_groupoid,
 )
+from test_finitetop import spaces
 
 I5_NBHD = {
     "-1": {"-1", "a"},
@@ -261,3 +266,108 @@ def test_make_haar_rejects_a_partial_weight_map():
     g, _ = pair_groupoid(["a", "b"])
     with pytest.raises(AxiomViolation, match="not total"):
         make_haar(g, {g.arrows[0]: 1})
+
+
+# --- differential tests against the definitional forms ---------------------
+# (tests/naive_topology.py: every arrow, pair or relation pair scanned)
+
+
+def assert_matches_the_definitional_forms(g):
+    assert classify(g) == naive.classify(g)
+    assert set(g.comp) == naive.composable(g)
+    for x in g.units.points:
+        assert isotropy(g, x) == naive.isotropy(g, x)
+    rows = [list(row.items()) for row in A._topology_constraints(g)]
+    assert rows == [list(row.items()) for row in naive.topology_constraints(g)]
+
+
+@st.composite
+def relation_models(draw):
+    """A non-discrete space from spaces(), the equivalence relation of a
+    random partition of its points, and a topology mode."""
+    space = draw(spaces())
+    assume(any(len(space.min_nbhd[x]) > 1 for x in space.points))
+    block = {x: draw(st.integers(0, len(space.points) - 1)) for x in space.points}
+    pairs = [(x, y) for x in space.points for y in space.points if block[x] == block[y]]
+    mode = draw(st.sampled_from(["product", "product_plus_diagonal"]))
+    return space, pairs, mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_models())
+def test_random_relation_groupoids_match_the_definitional_forms(model):
+    space, pairs, mode = model
+    g, _ = relation_groupoid(space, pairs, mode)
+    assert list(g.comp.items()) == list(naive.relation_comp(pairs).items())
+    assert_matches_the_definitional_forms(g)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_groupoids_match_the_definitional_forms(name):
+    # the catalog has the isotropy that relation groupoids lack
+    assert_matches_the_definitional_forms(catalog.build(name)["groupoid"])
+
+
+def rebuild(g, **changes):
+    """make_groupoid on g's tables, with some of them replaced."""
+    tables = dict(
+        units=g.units, arrows=g.arrows, r=g.r, s=g.s, inv=g.inv, comp=g.comp,
+        arrow_min_nbhd=g.topo.min_nbhd, unit_arrow=g.unit_arrow,
+    )
+    return make_groupoid(**{**tables, **changes})
+
+
+@settings(max_examples=30, deadline=None)
+@given(relation_models(), st.data())
+def test_a_comp_domain_mismatch_names_the_same_pairs(model, data):
+    space, pairs, mode = model
+    g, _ = relation_groupoid(space, pairs, mode)
+    comp = dict(g.comp)
+    del comp[data.draw(st.sampled_from(sorted(comp)))]
+    # a pair that does not compose, when there is one
+    stray = [(a, b) for a in g.arrows for b in g.arrows if g.s[a] != g.r[b]]
+    if stray and data.draw(st.booleans()):
+        comp[data.draw(st.sampled_from(stray))] = g.arrows[0]
+    bad = sorted(set(comp) ^ naive.composable(g))
+    with pytest.raises(AxiomViolation) as err:
+        rebuild(g, comp=comp)
+    assert str(err.value) == f"comp domain mismatch at pairs {bad[:3]}"
+
+
+def test_discontinuous_range_and_source_keep_their_messages():
+    g, _ = pair_groupoid(["p", "q"])
+    # U(p~p) = {p~p, p~q}: one range, two sources
+    nbhd = {a: {a} for a in g.arrows}
+    with pytest.raises(TopologyViolation) as err:
+        rebuild(g, arrow_min_nbhd={**nbhd, "p~p": {"p~p", "p~q"}})
+    assert str(err.value) == "source map is not continuous"
+    # U(p~p) = {p~p, q~p}: two ranges, one source; r is checked first
+    with pytest.raises(TopologyViolation) as err:
+        rebuild(g, arrow_min_nbhd={**nbhd, "p~p": {"p~p", "q~p"}, "p~q": {"p~q", "q~p"}})
+    assert str(err.value) == "range map is not continuous"
+
+
+def test_a_unit_embedding_failure_keeps_its_message():
+    # units x (open) and a, with U_a = {x, a}; discrete arrows
+    space = make_space(["x", "a"], {"x": {"x"}, "a": {"x", "a"}})
+    g, _ = relation_groupoid(space, [("x", "x"), ("a", "a")])
+    with pytest.raises(TopologyViolation) as err:
+        rebuild(g, arrow_min_nbhd={a: {a} for a in g.arrows})
+    assert str(err.value) == "unit embedding is not a homeomorphism onto its image at 'a'"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaces(), st.data())
+def test_a_missing_transitive_pair_is_named_as_by_the_full_scan(space, data):
+    pts = space.points
+    links = data.draw(st.sets(st.tuples(st.sampled_from(pts), st.sampled_from(pts))))
+    pairs = [(x, x) for x in pts] + [p for x, y in links for p in ((x, y), (y, x))]
+    try:
+        want = naive.relation_comp(pairs)
+    except NotEquivalence as exc:
+        with pytest.raises(NotEquivalence) as err:
+            relation_groupoid(space, pairs)
+        assert str(err.value) == str(exc)
+    else:
+        g, _ = relation_groupoid(space, pairs)
+        assert list(g.comp.items()) == list(want.items())

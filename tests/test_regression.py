@@ -52,24 +52,29 @@ def _counted(fn, name, counts):
     return counted
 
 
+CATALOG_ALL_COUNTED = (
+    "algebra.convolve",
+    "algebra.concrete_algebra",
+    "algebra.block_structure",
+    "cartan.cartan_report",
+    "cartan.unit_subalgebra",
+    "cartan._commutant_check",
+    "catalog.build",
+    "finitetop.map_report",
+    "finitetop.product",
+)
+
+
 @pytest.fixture(scope="module")
 def catalog_all():
-    """One counted `catalog --all --json` run: exit code, stdout, counts."""
+    """One counted `catalog --all --json` run: exit code, stdout, and the
+    counts of CATALOG_ALL_COUNTED, zeros included."""
     with pytest.MonkeyPatch.context() as mp:
-        counts = count_calls(
-            mp,
-            "algebra.convolve",
-            "algebra.concrete_algebra",
-            "algebra.block_structure",
-            "cartan.cartan_report",
-            "cartan.unit_subalgebra",
-            "cartan._commutant_check",
-            "catalog.build",
-        )
+        counts = count_calls(mp, *CATALOG_ALL_COUNTED)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = cli.main(["catalog", "--all", "--json"])
-    return rc, buf.getvalue(), dict(counts)
+    return rc, buf.getvalue(), {name: counts[name] for name in CATALOG_ALL_COUNTED}
 
 
 def assert_matches_the_stored_report(text):
@@ -121,18 +126,26 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # building B and checking its commutant once, which pair's Weyl round
     # trip reuses. Products are formed only where the supports compose, and
     # each once: the closure's product table serves block splitting, and one
-    # B-side table serves the unit and commutant conditions. A run that
-    # convolved every pair its loops meet would make 7 990, one that formed
-    # those products twice 1 725.
+    # B-side table serves the unit, commutant and normalizer conditions. A
+    # run that convolved every pair its loops meet would make 7 990, one that
+    # formed those products twice 1 725, one whose normalizer test formed
+    # m_i * b_j again 1 188.
+    # Building a groupoid checks only the continuity of r and s, and
+    # `classify` tests properness without the product space X×X: the 8
+    # map_report calls are the transformation groupoids' homeomorphism
+    # checks. A run that asked map_report about r and s would make 36, one
+    # that tested properness in X×X 12 product calls.
     _, _, counts = catalog_all
     assert counts == {
-        "algebra.convolve": 1188,
+        "algebra.convolve": 1078,
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
         "cartan.unit_subalgebra": 12,
         "cartan._commutant_check": 12,
         "catalog.build": 11,
+        "finitetop.map_report": 8,
+        "finitetop.product": 0,
     }
 
 
