@@ -613,8 +613,8 @@ def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
     Validates that the span of the basis is closed under the involution,
     computes its center exactly, splits the representation space into
     joint eigenspaces of the conjugated central elements, and sizes each
-    simple block by the rank of the restricted algebra. Returns the sizes
-    and the per-block subspaces. The closed algebra is analysed once, from
+    simple block by the rank of the restricted algebra. Returns the block
+    sizes, as {"sizes": ...}. The closed algebra is analysed once, from
     the product table its closure kept, and the result kept on `algebra`.
     An explicit `basis` (arrow functions, such as `algebra.cc.basis`) is
     closed afresh on every call, and raises NotClosed if its span grows.
@@ -635,7 +635,7 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
     import numpy as np
 
     if not basis:
-        return {"sizes": (), "subspaces": []}
+        return {"sizes": ()}
     for a in basis:
         if not span.contains(_arrow_coords(star(a, algebra.sigma))):
             raise NotClosed("subspace is not closed under the involution")
@@ -657,7 +657,6 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
             subspaces = _split_by_hermitian(subspaces, h)
 
     sizes = []
-    kept = []
     for q in subspaces:
         r = _numeric_rank(np.array([(q.conj().T @ m @ q).ravel() for m in conj_basis]))
         n = math.isqrt(r)
@@ -665,7 +664,6 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
             raise InvariantViolation("restricted block is not a full matrix algebra")
         if n:
             sizes.append(n)
-            kept.append(q)
     if sum(n * n for n in sizes) != len(basis):
         raise InvariantViolation("block sizes must account for the dimension")
     if len(sizes) != len(center_coeffs):
@@ -673,7 +671,7 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
             f"the eigen split found {len(sizes)} blocks, "
             f"but the exact center has dimension {len(center_coeffs)}"
         )
-    return {"sizes": tuple(sizes), "subspaces": kept}
+    return {"sizes": tuple(sizes)}
 
 
 def _sqrt_weights(weight_diags):

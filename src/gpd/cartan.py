@@ -18,8 +18,10 @@ the reconstruction of the orbit relation from the pair alone. `Analysis`
 holds all of these answers for one (groupoid, Haar system, cocycle) and
 computes each at most once.
 
-All structural answers (membership, commutants, solvability, positivity)
-are exact; floating point enters only through the block-refinement ranks.
+Every answer here is exact: membership, commutants, solvability,
+positivity, and the extension counts, which are read off the corners p·A·p.
+This module holds no float code; block sizes come from
+`algebra.block_structure`.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ from .algebra import (
     ConcreteAlgebra,
     _arrow_coords,
     _commutation_rows,
-    _conjugated,
     _kernel_space,
-    _numeric_rank,
     _products,
     _prune,
     _require_over,
     _require_validated,
-    _sqrt_weights,
     _topology_constraints,
+    block_structure,
     cc_space,
     concrete_algebra,
     convolve,
@@ -437,13 +437,31 @@ def skandalis_element(g: Groupoid) -> AlgebraElement:
     return AlgebraElement(g, {a: v for a, v in coeffs.items() if v})
 
 
-def _per_block_ranks(
-    algebra: ConcreteAlgebra,
-    structure: dict,
-    f: AlgebraElement,
-) -> list[int]:
-    big = _conjugated(algebra.represent(f), _sqrt_weights(algebra.weight_diags()))
-    return [_numeric_rank(q.conj().T @ big @ q) for q in structure["subspaces"]]
+def _corners(algebra: ConcreteAlgebra, p: AlgebraElement, idems: list[AlgebraElement]) -> dict:
+    """{j: the nonzero products p * m * idems[j]} over the elements m of
+    `algebra.closed`, in the order of `closed`."""
+    haar, sigma = algebra.haar, algebra.sigma
+    left = list(_products([p], algebra.closed, haar, sigma).values())
+    out: dict[int, list[AlgebraElement]] = {}
+    for (_, j), q in _products(left, idems, haar, sigma).items():
+        out.setdefault(j, []).append(q)
+    return out
+
+
+def _extension_count(
+    algebra: ConcreteAlgebra, p: AlgebraElement, blocks: int
+) -> int | tuple[int, ...]:
+    """The count at the spectrum point with idempotent p, from a basis of
+    the corner p·A·p ≅ ⊕ M_{r_i}, r_i the rank of p in block i of A: the
+    dimension when the corner is commutative (every r_i is 0 or 1), else
+    the r_i, largest first, padded with zeros to A's `blocks`."""
+    span = Echelon()
+    corner = [q for q in _corners(algebra, p, [p]).get(0, []) if span.add(_arrow_coords(q))]
+    prods = _products(corner, corner, algebra.haar, algebra.sigma) if len(corner) > 1 else {}
+    if all(prods.get((j, i)) == x for (i, j), x in prods.items()):
+        return len(corner)
+    sizes = sorted(block_structure(algebra, basis=corner)["sizes"], reverse=True)
+    return tuple(sizes) + (0,) * (blocks - len(sizes))
 
 
 def uep_report(
@@ -455,9 +473,10 @@ def uep_report(
 ) -> dict:
     """Pure-state extension counts over the spectrum of the unit subalgebra.
 
-    Count = number of simple blocks meeting the image of the spectrum point's
-    idempotent when every block rank is 0/1; a rank vector is reported
-    instead when some block rank exceeds 1. Requires B maximal abelian.
+    The count at a spectrum point with idempotent p is read off the corner
+    p·A·p, computed exactly: its dimension when the corner is commutative;
+    otherwise a rank vector, the corner's block sizes, largest first, then
+    zeros up to A's number of blocks. Requires B maximal abelian.
     The block structure is the one `algebra` keeps (see `block_structure`),
     and B is the one `report` was computed on; a cocycle, Haar system,
     algebra or report over another groupoid raises GroupoidMismatch.
@@ -473,14 +492,10 @@ def uep_report(
     b = report.units
     if not report.masa:
         raise NotMasa("extension counting needs a maximal abelian unit subalgebra")
-    structure = algebra.structure
+    sizes = algebra.structure["sizes"]
     counts: dict[str, object] = {}
     for pts, idem in minimal_idempotents(b, haar):
-        ranks = _per_block_ranks(algebra, structure, idem)
-        if max(ranks) <= 1:
-            value: object = int(sum(ranks))
-        else:
-            value = tuple(ranks)
+        value = _extension_count(algebra, idem, len(sizes))
         for x in pts:
             counts[x] = value
     all_unique = bool(counts) and all(v == 1 for v in counts.values())
@@ -488,7 +503,7 @@ def uep_report(
         "counts": counts,
         "diagonal": report.overall and all_unique,
         "all_unique": all_unique,
-        "block_sizes": tuple(sorted(structure["sizes"], reverse=True)),
+        "block_sizes": tuple(sorted(sizes, reverse=True)),
     }
 
 
@@ -513,15 +528,12 @@ def weyl_relation(algebra: ConcreteAlgebra) -> tuple[Groupoid, HaarSystem]:
 
 
 def _reconstruct(algebra: ConcreteAlgebra, b: CcSpace) -> tuple[Groupoid, HaarSystem]:
-    haar, sigma = algebra.haar, algebra.sigma
-    spectrum = [(min(pts), idem) for pts, idem in minimal_idempotents(b, haar)]
-    labels = [x for x, _ in spectrum]
+    spectrum = minimal_idempotents(b, algebra.haar)
+    labels = [min(pts) for pts, _ in spectrum]
     idems = [idem for _, idem in spectrum]
-    pairs = []
-    for x, px in spectrum:
-        left = list(_products([px], algebra.closed, haar, sigma).values())
-        linked = {j for _, j in _products(left, idems, haar, sigma)}
-        pairs += [(x, labels[j]) for j in sorted(linked)]
+    pairs = [
+        (x, labels[j]) for x, p in zip(labels, idems) for j in sorted(_corners(algebra, p, idems))
+    ]
     space = make_space(labels, {x: {x} for x in labels})
     return relation_groupoid(space, pairs, "product", name="weyl relation")
 

@@ -458,7 +458,7 @@ def test_block_structure_consistency(a1):
     info = block_structure(alg)
     assert info["sizes"] == (2, 2, 1, 1)
     assert sum(n * n for n in info["sizes"]) == alg.dim
-    assert len(info["subspaces"]) == len(info["sizes"])
+    assert set(info) == {"sizes"}
 
 
 def test_block_structure_rejects_non_closed_span(a1):

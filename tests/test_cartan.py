@@ -9,6 +9,7 @@ from gpd.algebra import (
     concrete_algebra,
     convolve,
     delta,
+    element_vector,
     make_cocycle,
     make_element,
     zero_element,
@@ -24,7 +25,10 @@ from gpd.cartan import (
     weyl_relation,
 )
 from gpd.errors import AxiomViolation, GroupoidMismatch, InvalidCocycle, NotMasa, WrongShape
+from gpd.finitetop import make_space
+from gpd.germs import generate, germ_groupoid, make_partial_homeo
 from gpd.groupoid import classify, make_haar, pair_groupoid
+from gpd.qlin import Echelon
 
 
 def algebra_of(model):
@@ -220,6 +224,62 @@ def test_extension_counts_unique_for_principal_models(a3, a4, pair3):
         uep = uep_report(model["g"], None, model["haar"])
         assert set(uep["counts"].values()) == {1}
         assert uep["all_unique"] and uep["diagonal"]
+
+
+def s3_cone(isolated=()):
+    """A closed cone point c whose minimal neighbourhood is the whole cone,
+    over six open points named by the elements of S3, acted on by left
+    translation through a transposition and a 3-cycle, both fixing c; the
+    points in `isolated` are clopen and fixed. Its germ groupoid has S3
+    isotropy at c only."""
+    perms = list(itertools.permutations(range(3)))
+    name = {p: "".join(map(str, p)) for p in perms}
+    cone = ["c", *name.values()]
+    points = cone + list(isolated)
+    nbhd = {"c": set(cone), **{x: {x} for x in points if x != "c"}}
+    space = make_space(points, nbhd)
+    gens = []
+    for label, s in (("t", (1, 0, 2)), ("r", (1, 2, 0))):
+        mapping = {x: x for x in points}
+        mapping.update({name[p]: name[tuple(s[i] for i in p)] for p in perms})
+        gens.append(make_partial_homeo(space, points, mapping, label))
+    return germ_groupoid(generate(space, gens), name="s3 cone")
+
+
+def corner_dim(alg, p):
+    """dim p·A·p, spanned by the products p * m * p over the closed algebra."""
+    span = Echelon()
+    for m in alg.closed:
+        span.add(element_vector(convolve(convolve(p, m, alg.haar), p, alg.haar)))
+    return span.rank
+
+
+def test_extension_counts_at_an_s3_cone_point_are_the_corner_block_sizes():
+    # p·A·p at the cone point is C[S3] = C ⊕ C ⊕ M_2, so the rank of p is 2,
+    # 1 and 1 in three blocks of A and 0 in the fourth; its ranks on the
+    # regular representation would be multiplied by each block's
+    # multiplicity there.
+    g = s3_cone()
+    assert len(g.arrows) == 42
+    assert classify(g)["topologically_principal"]
+    an = Analysis(g)
+    assert an.cartan.overall
+    uep = an.uep
+    assert uep["block_sizes"] == (6, 2, 1, 1)
+    counts = uep["counts"]
+    assert counts["c"] == (2, 1, 1, 0)
+    assert len(counts) == 7 and all(v == 1 for x, v in counts.items() if x != "c")
+    assert uep["all_unique"] is False and uep["diagonal"] is False
+    [(pts, p)] = [(pts, p) for pts, p in minimal_idempotents(an.units, an.haar) if pts == ("c",)]
+    assert sum(r * r for r in (2, 1, 1, 0)) == corner_dim(an.algebra, p) == 6
+
+
+def test_extension_rank_vectors_are_padded_to_the_blocks_of_a():
+    # An isolated fixed point adds a block of A that p misses.
+    uep = Analysis(s3_cone(isolated=("d",))).uep
+    assert uep["block_sizes"] == (6, 2, 1, 1, 1)
+    assert uep["counts"]["c"] == (2, 1, 1, 0, 0)
+    assert uep["counts"]["d"] == 1
 
 
 def test_extension_counts_reject_an_algebra_over_another_groupoid():

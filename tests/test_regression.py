@@ -54,6 +54,7 @@ def _counted(fn, name, counts):
 
 CATALOG_ALL_COUNTED = (
     "algebra.convolve",
+    "algebra._numeric_rank",
     "algebra.concrete_algebra",
     "algebra.block_structure",
     "cartan.cartan_report",
@@ -129,7 +130,11 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # B-side table serves the unit, commutant and normalizer conditions. A
     # run that convolved every pair its loops meet would make 7 990, one that
     # formed those products twice 1 725, one whose normalizer test formed
-    # m_i * b_j again 1 188.
+    # m_i * b_j again 1 188. Extension counts are read off the exact
+    # corners p·A·p, formed as products p * m * p over the closed algebra,
+    # where they were once taken as float ranks on the regular
+    # representation: that raised the convolutions from 1 078 to 1 233 and
+    # cut the SVDs from 246 to the 46 of block splitting.
     # Building a groupoid checks only the continuity of r and s, and
     # `classify` tests properness without the product space X×X: the 8
     # map_report calls are the transformation groupoids' homeomorphism
@@ -137,7 +142,8 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # that tested properness in X×X 12 product calls.
     _, _, counts = catalog_all
     assert counts == {
-        "algebra.convolve": 1078,
+        "algebra.convolve": 1233,
+        "algebra._numeric_rank": 46,
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
