@@ -14,7 +14,9 @@ fiberwise formulas, optionally twisted by a 2-cocycle; everything except
 operator norms and eigenvalue clustering is computed exactly.
 
 Every exact answer about the algebra is computed on arrow functions, read
-as {arrow index: QC} rows for `qlin.Echelon`. The closure under products is
+as {arrow index: QC} rows, the one row format of `qlin`: the admissible
+space is the `nullspace` of the constraint rows, and each of its basis
+elements is read straight off a kernel row. The closure under products is
 the only place the closed algebra's products are formed: it keeps them as a
 table, which the simple-block analysis reads for the exact center
 (`block_structure(alg, basis=...)` closes the given basis the same way and
@@ -246,11 +248,13 @@ def _topology_constraints(g: Groupoid) -> list[dict[int, QC]]:
 
 def _kernel_space(g: Groupoid, rows: list[dict[int, QC]]) -> CcSpace:
     """The arrow functions on which every constraint row vanishes."""
-    vectors = nullspace(rows, ncols=len(g.arrows))
+    vectors = nullspace(rows, len(g.arrows))
     span = Echelon()
     for v in vectors:
         span.add(v)
-    return CcSpace(groupoid=g, basis=tuple(vector_element(g, v) for v in vectors), _span=span)
+    arrows = g.arrows
+    basis = tuple(AlgebraElement(g, {arrows[c]: x for c, x in v.items()}) for v in vectors)
+    return CcSpace(groupoid=g, basis=basis, _span=span)
 
 
 def cc_space(g: Groupoid) -> CcSpace:
@@ -642,7 +646,7 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
 
     # sum_i c_i basis[i] is central iff it commutes with every basis[j]
     transposed = {(j, i): p for (i, j), p in products.items()}
-    center_coeffs = nullspace(_commutation_rows(products, transposed), ncols=len(basis))
+    center_coeffs = nullspace(_commutation_rows(products, transposed), len(basis))
 
     sqrt_w = _sqrt_weights(algebra.weight_diags())
     conj_basis = [_conjugated(algebra.represent(f), sqrt_w) for f in basis]
@@ -650,7 +654,7 @@ def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> 
     subspaces = [np.eye(total, dtype=complex)]
     for coeffs in center_coeffs:
         c = sum(
-            (complex(v.to_complex()) * m for v, m in zip(coeffs, conj_basis)),
+            (v.to_complex() * conj_basis[i] for i, v in coeffs.items()),
             start=np.zeros((total, total), dtype=complex),
         )
         for h in ((c + c.conj().T) / 2, (c - c.conj().T) / 2j):

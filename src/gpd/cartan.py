@@ -171,7 +171,7 @@ def _commutant_check(
     element of it outside B (None exactly when B is maximal abelian).
     `sides` is `_side_products(cc, b, ...)`."""
     bm, mb = sides
-    commutant = nullspace(_commutation_rows(mb, bm), ncols=cc.dim)
+    commutant = nullspace(_commutation_rows(mb, bm), cc.dim)
     for coeff_vec in commutant:
         f = _combination(g, coeff_vec, cc.basis)
         if not b.contains(f):
@@ -180,14 +180,14 @@ def _commutant_check(
 
 
 def _combination(
-    g: Groupoid, coeffs: list[QC], basis: tuple[AlgebraElement, ...]
+    g: Groupoid, coeffs: dict[int, QC], basis: tuple[AlgebraElement, ...]
 ) -> AlgebraElement:
-    """The linear combination sum_i coeffs[i] * basis[i]."""
+    """The linear combination sum_i coeffs[i] * basis[i], over the nonzero
+    coefficients {i: QC}."""
     out: dict[str, QC] = {}
-    for c, m in zip(coeffs, basis):
-        if c:
-            for a, v in m.coeffs.items():
-                out[a] = out.get(a, ZERO) + c * v
+    for i, c in coeffs.items():
+        for a, v in basis[i].coeffs.items():
+            out[a] = out.get(a, ZERO) + c * v
     return AlgebraElement(g, _prune(out))
 
 
@@ -329,7 +329,7 @@ def cartan_report(
     # Condition 1: an element of B acting as a two-sided identity on the span.
     # An equation sum_j c_j (b_j m)(x) = m(x) is 0 = 0 off the supports.
     cols = len(b.basis)
-    rows: list[list[QC]] = []
+    rows: list[dict[int, QC]] = []
     rhs: list[QC] = []
     for i, m in enumerate(cc.basis):
         mv = _arrow_coords(m)
@@ -337,11 +337,11 @@ def cartan_report(
         for coord in sorted(set(mv).union(*left, *right)):
             target = mv.get(coord, ZERO)
             for side in (left, right):
-                row = [v.get(coord, ZERO) for v in side]
-                if any(row) or target:
+                row = {j: x for j, v in enumerate(side) if (x := v.get(coord))}
+                if row or target:
                     rows.append(row)
                     rhs.append(target)
-    coeffs = solve(rows, rhs) if cols else None
+    coeffs = solve(rows, rhs, cols) if cols else None
     unit_element = None if coeffs is None else _combination(g, coeffs, b.basis)
     contains_unit = coeffs is not None
 

@@ -8,10 +8,11 @@ is integer arithmetic plus at most one gcd; `re` and `im` give the parts as
 fractions.Fraction. Floating point enters the package only through
 to_complex(), at the norm/spectral boundary.
 
-Elimination is sparse: `Echelon` keeps each reduced row as a {column: QC}
-dict of its nonzero entries, and `rref`, `rank`, `nullspace` and `solve` all
-run through it, so their cost follows the nonzero entries, not the width of
-the rows. A row may be given as a dense sequence or as such a dict.
+Elimination is sparse: every row, given or returned, is a {column: QC} dict
+of its nonzero entries. `Echelon` keeps the reduced rows in that form, and
+`nullspace` and `solve` run through it, so their cost follows the nonzero
+entries, not the width of the rows. Only the Hermitian positivity tests take
+dense matrices: their Gram matrices are dense by nature.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .errors import InvariantViolation
+
 __all__ = [
     "QC",
     "qc",
-    "rref",
-    "rank",
     "nullspace",
     "solve",
-    "in_span",
     "hermitian_is_pd",
     "hermitian_is_psd",
-    "to_complex_matrix",
     "Echelon",
 ]
 
@@ -186,98 +185,42 @@ def qc(value: int | Fraction | QC) -> QC:
     raise TypeError(f"cannot coerce {type(value).__name__} to QC exactly")
 
 
-Row = list
-Mat = list
 # A sparse row: its nonzero entries by column.
 Sparse = dict
 
 
-def _copy(rows: Iterable[Sequence[QC]]) -> Mat:
-    return [list(r) for r in rows]
-
-
-def _sparse(vec: Sequence[QC] | Mapping[int, QC]) -> Sparse:
-    """The nonzero entries of a dense or sparse row, as a fresh dict."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x for c, x in items if x}
-
-
-def _dense(row: Mapping[int, QC], ncols: int) -> Row:
-    return [row.get(c, ZERO) for c in range(ncols)]
-
-
-def _echelon(rows: Iterable[Sequence[QC] | Mapping[int, QC]]) -> "Echelon":
+def _echelon(rows: Iterable[Mapping[int, QC]]) -> "Echelon":
     span = Echelon()
     for row in rows:
         span.add(row)
     return span
 
 
-def rref(rows: Iterable[Sequence[QC]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    m = list(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    span = _echelon(m)
-    pivots = sorted(span.row_of)
-    return [_dense(span.row_of[p], ncols) for p in pivots], pivots
-
-
-def rank(rows: Iterable[Sequence[QC]]) -> int:
-    return _echelon(rows).rank
-
-
-def nullspace(rows: Iterable[Sequence[QC] | Mapping[int, QC]], ncols: int | None = None) -> Mat:
-    """Basis of the right kernel, one vector per free column.
-
-    Sparse rows carry no width, so `ncols` must be given with them."""
-    m = list(rows)
-    if not m:
-        if ncols is None:
-            return []
-        return [[ONE if j == k else ZERO for j in range(ncols)] for k in range(ncols)]
-    n = ncols if isinstance(m[0], dict) else len(m[0])
-    span = _echelon(m)
-    basis = {}
-    for free in range(n):
-        if free not in span.row_of:
-            basis[free] = [ZERO] * n
-            basis[free][free] = ONE
+def nullspace(rows: Iterable[Mapping[int, QC]], ncols: int) -> list[Sparse]:
+    """Basis of the right kernel of sparse rows over `ncols` columns, one
+    sparse vector per free column, in free-column order; each vector's
+    entries are in column order."""
+    row_of = _echelon(rows).row_of
+    basis = {free: [(free, ONE)] for free in range(ncols) if free not in row_of}
     # A reduced row is zero at every other pivot, so its other nonzero
     # columns are all free.
-    for pc, row in span.row_of.items():
+    for pc, row in row_of.items():
         for c, x in row.items():
             if c != pc:
-                basis[c][pc] = -x
-    return list(basis.values())
+                basis[c].append((pc, -x))
+    return [dict(sorted(entries)) for entries in basis.values()]
 
 
-def solve(a_rows: Iterable[Sequence[QC]], b: Sequence[QC]) -> Row | None:
-    """One exact solution of A x = b, or None if inconsistent.
+def solve(a_rows: Iterable[Mapping[int, QC]], b: Sequence[QC], ncols: int) -> Sparse | None:
+    """One exact solution of A x = b over `ncols` unknowns, as a sparse
+    vector in column order, or None if inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    a = _copy(a_rows)
-    if not a:
-        return [] if not any(b) else None
-    n = len(a[0])
-    span = _echelon(row + [b[i]] for i, row in enumerate(a))
-    if n in span.row_of:
+    span = _echelon({**row, ncols: x} for row, x in zip(a_rows, b))
+    if ncols in span.row_of:
         return None
-    x = [ZERO] * n
-    for pc, row in span.row_of.items():
-        x[pc] = row.get(n, ZERO)
-    return x
-
-
-def in_span(vectors: Sequence[Sequence[QC]], target: Sequence[QC]) -> Row | None:
-    """Coefficients expressing target as a combination of vectors, else None."""
-    if not vectors:
-        return [] if not any(target) else None
-    n = len(target)
-    cols = [[vec[i] for vec in vectors] for i in range(n)]
-    return solve(cols, list(target))
+    return {pc: x for pc, row in sorted(span.row_of.items()) if (x := row.get(ncols))}
 
 
 def _hermitian_pivots(h_rows: Sequence[Sequence[QC]]) -> list[Fraction] | None:
@@ -286,13 +229,13 @@ def _hermitian_pivots(h_rows: Sequence[Sequence[QC]]) -> list[Fraction] | None:
     Returns None when a zero pivot has a nonzero remainder below it, which
     already rules out definiteness of either sign for our callers.
     """
-    h = _copy(h_rows)
+    h = [list(r) for r in h_rows]
     n = len(h)
     pivots: list[Fraction] = []
     for k in range(n):
         d = h[k][k]
         if d.im != 0:
-            raise ValueError("matrix is not Hermitian (complex diagonal)")
+            raise InvariantViolation("matrix is not Hermitian (complex diagonal)")
         pivots.append(d.re)
         if not d:
             if any(h[i][k] for i in range(k + 1, n)):
@@ -318,37 +261,30 @@ def hermitian_is_psd(h_rows: Sequence[Sequence[QC]]) -> bool:
 
 
 class Echelon:
-    """Incrementally maintained reduced row space.
+    """Incrementally maintained reduced row space of sparse rows.
 
-    Cheaper than re-running rref when many membership queries hit the same
-    growing span (function-space constraints, algebra closures). Each row is
-    a {column: QC} dict of its nonzero entries, with a 1 at its pivot (the
-    lowest nonzero column) and zeros at every other row's pivot. `row_of`
-    maps each pivot to its row, in insertion order.
+    Built for many membership queries against one growing span
+    (function-space constraints, algebra closures). Vectors come in as
+    {column: QC} dicts; zero entries are dropped. Each stored row is such a
+    dict of its nonzero entries, with a 1 at its pivot (the lowest nonzero
+    column) and zeros at every other row's pivot. `row_of` maps each pivot
+    to its row, in insertion order.
     """
 
     def __init__(self):
         self.row_of: dict[int, Sparse] = {}
 
     @property
-    def rows(self) -> list[Sparse]:
-        return list(self.row_of.values())
-
-    @property
-    def pivots(self) -> list[int]:
-        return list(self.row_of)
-
-    @property
     def rank(self) -> int:
         return len(self.row_of)
 
-    def residual(self, vec: Sequence[QC] | Mapping[int, QC]) -> Sparse:
+    def residual(self, vec: Mapping[int, QC]) -> Sparse:
         """The nonzero entries of vec minus its projection on the span.
 
         The rows are fully reduced, so the coefficient of each pivot row is
         the vector's own entry at that pivot, and only the pivot rows the
         vector hits are subtracted."""
-        v = _sparse(vec)
+        v = {c: x for c, x in vec.items() if x}
         row_of = self.row_of
         for p in [c for c in v if c in row_of]:
             f = v.pop(p)
@@ -366,10 +302,10 @@ class Echelon:
                         del v[c]
         return v
 
-    def contains(self, vec: Sequence[QC] | Mapping[int, QC]) -> bool:
+    def contains(self, vec: Mapping[int, QC]) -> bool:
         return not self.residual(vec)
 
-    def add(self, vec: Sequence[QC] | Mapping[int, QC]) -> bool:
+    def add(self, vec: Mapping[int, QC]) -> bool:
         """Insert a vector; True if it enlarged the span."""
         v = self.residual(vec)
         if not v:
@@ -389,10 +325,3 @@ class Echelon:
                         del row[c]
         self.row_of[p] = v
         return True
-
-
-def to_complex_matrix(rows: Sequence[Sequence[QC]]):
-    """numpy bridge; imported lazily so exact users never touch numpy."""
-    import numpy as np
-
-    return np.array([[x.to_complex() for x in row] for row in rows], dtype=complex)

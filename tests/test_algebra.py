@@ -34,7 +34,7 @@ from gpd.errors import (
     UnknownPoint,
 )
 from gpd.groupoid import make_haar, pair_groupoid
-from gpd.qlin import QC, ZERO, to_complex_matrix
+from gpd.qlin import QC, ZERO
 
 import naive_convolve
 from conftest import klein_groupoid
@@ -318,8 +318,10 @@ def test_noninvariant_weights_break_the_representation():
     fiber, rows = regular_rep(g, "q", prod, haar)
     assert fiber == ("p~q", "q~q")
     assert rows[1][0] == QC(2)
-    mf = np.array(to_complex_matrix(regular_rep(g, "q", f, haar)[1]))
-    mh = np.array(to_complex_matrix(regular_rep(g, "q", h, haar)[1]))
+    mf, mh = (
+        np.array([[x.to_complex() for x in row] for row in regular_rep(g, "q", k, haar)[1]])
+        for k in (f, h)
+    )
     assert (mf @ mh)[1][0] == pytest.approx(1.0)  # rep is not multiplicative here
 
 

@@ -5,11 +5,11 @@ import pytest
 from gpd import cartan
 from gpd.algebra import (
     CcSpace,
+    _arrow_coords,
     cc_space,
     concrete_algebra,
     convolve,
     delta,
-    element_vector,
     make_cocycle,
     make_element,
     zero_element,
@@ -250,7 +250,7 @@ def corner_dim(alg, p):
     """dim p·A·p, spanned by the products p * m * p over the closed algebra."""
     span = Echelon()
     for m in alg.closed:
-        span.add(element_vector(convolve(convolve(p, m, alg.haar), p, alg.haar)))
+        span.add(_arrow_coords(convolve(convolve(p, m, alg.haar), p, alg.haar)))
     return span.rank
 
 

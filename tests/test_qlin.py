@@ -6,22 +6,28 @@ from hypothesis import given, settings, strategies as st
 
 import dense_qlin
 import fraction_qc
+from gpd.errors import InvariantViolation
 from gpd.qlin import (
     QC,
     Echelon,
     hermitian_is_pd,
     hermitian_is_psd,
-    in_span,
     nullspace,
     qc,
-    rank,
-    rref,
     solve,
 )
 
 
 def m(rows):
     return [[QC(Fraction(v)) if not isinstance(v, QC) else v for v in r] for r in rows]
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def dense(row, ncols):
+    return [row.get(c, QC(0)) for c in range(ncols)]
 
 
 def test_qc_field_ops():
@@ -49,37 +55,28 @@ def test_qc_rejects_floats():
         qc(0.5)
 
 
-def test_rank_and_rref():
-    a = m([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    red, pivots = rref(a)
-    assert pivots == [0, 1]
-    assert rank(a) == 2
-
-
 def test_nullspace_dimension():
     a = m([[1, 2, 3], [2, 4, 6]])
-    ns = nullspace(a)
+    ns = nullspace([sparse(r) for r in a], 3)
     assert len(ns) == 2
     for v in ns:
         for row in a:
             s = QC(0)
-            for c, x in zip(row, v):
-                s = s + c * x
+            for c, x in v.items():
+                s = s + row[c] * x
             assert not s
 
 
 def test_solve_consistent_and_inconsistent():
     a = m([[1, 1], [0, 1]])
-    x = solve(a, [QC(3), QC(1)])
-    assert x == [QC(2), QC(1)]
+    x = solve([sparse(r) for r in a], [QC(3), QC(1)], 2)
+    assert x == {0: QC(2), 1: QC(1)}
     a2 = m([[1, 1], [1, 1]])
-    assert solve(a2, [QC(0), QC(1)]) is None
-
-
-def test_in_span():
-    vecs = [[QC(1), QC(0), QC(1)], [QC(0), QC(1), QC(1)]]
-    assert in_span(vecs, [QC(2), QC(3), QC(5)]) == [QC(2), QC(3)]
-    assert in_span(vecs, [QC(0), QC(0), QC(1)]) is None
+    assert solve([sparse(r) for r in a2], [QC(0), QC(1)], 2) is None
+    assert solve([sparse(r) for r in a2], [QC(0), QC(0)], 2) == {}
+    # pivots found out of column order still give the answer in column order
+    x = solve([{1: QC(1)}, {0: QC(1), 1: QC(2)}], [QC(3), QC(5)], 2)
+    assert list(x.items()) == [(0, QC(-1)), (1, QC(3))]
 
 
 def test_hermitian_definiteness():
@@ -94,6 +91,12 @@ def test_hermitian_definiteness():
     assert hermitian_is_pd(h)
 
 
+def test_a_complex_diagonal_is_a_typed_error():
+    for test in (hermitian_is_psd, hermitian_is_pd):
+        with pytest.raises(InvariantViolation, match="not Hermitian"):
+            test([[QC(0, 1)]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4))
 def test_gram_matrices_are_psd(rows):
@@ -103,7 +106,10 @@ def test_gram_matrices_are_psd(rows):
         for u in vecs
     ]
     assert hermitian_is_psd(g)
-    full_rank = rank(vecs) == len(vecs)
+    span = Echelon()
+    for v in vecs:
+        span.add(sparse(v))
+    full_rank = span.rank == len(vecs)
     assert hermitian_is_pd(g) == full_rank
 
 
@@ -116,8 +122,8 @@ ENTRIES = st.one_of(st.just(QC(0)), st.builds(QC, PARTS, PARTS))
 
 
 @st.composite
-def matrices(draw, ncols=None):
-    ncols = ncols if ncols is not None else draw(st.integers(1, 6))
+def matrices(draw):
+    ncols = draw(st.integers(0, 6))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "combination")))
@@ -134,26 +140,41 @@ def matrices(draw, ncols=None):
     return ncols, rows
 
 
-def dense(row, ncols):
-    return [row.get(c, QC(0)) for c in range(ncols)]
+def in_column_order(row):
+    return list(row) == sorted(row) and all(row.values())
+
+
+def check_solve(eqs, b, nvars, expected):
+    """`solve` on the sparse form of the dense equations `eqs` gives the
+    reference answer, densified, in column order. With no equations the
+    reference answers [] at any width; `solve` gives the zero vector."""
+    x = solve([sparse(r) for r in eqs], b, nvars)
+    if not eqs:
+        expected = [QC(0)] * nvars
+    if expected is None:
+        assert x is None
+    else:
+        assert x is not None and in_column_order(x)
+        assert dense(x, nvars) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(), st.data())
 def test_elimination_matches_the_dense_kernel(drawn, data):
     ncols, rows = drawn
-    assert rref(rows) == dense_qlin.rref(rows)
-    assert rank(rows) == dense_qlin.rank(rows)
-    assert nullspace(rows, ncols) == dense_qlin.nullspace(rows, ncols)
-    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
-    assert nullspace(sparse_rows, ncols) == dense_qlin.nullspace(rows, ncols)
+    kernel = nullspace([sparse(r) for r in rows], ncols)
+    assert all(in_column_order(v) for v in kernel)
+    assert [dense(v, ncols) for v in kernel] == dense_qlin.nullspace(rows, ncols)
     b = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
-    assert solve(rows, b) == dense_qlin.solve(rows, b)
+    check_solve(rows, b, ncols, dense_qlin.solve(rows, b))
+    # Consistent systems too: a target in the span of the rows, solved for
+    # its coefficients with the rows as columns.
     target = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
     if rows and data.draw(st.booleans()):
         coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
         target = [sum((c * r[i] for c, r in zip(coeffs, rows)), QC(0)) for i in range(ncols)]
-    assert in_span(rows, target) == dense_qlin.in_span(rows, target)
+    columns = [[r[i] for r in rows] for i in range(ncols)]
+    check_solve(columns, target, len(rows), dense_qlin.in_span(rows, target))
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,15 +183,14 @@ def test_echelon_matches_the_dense_kernel(drawn, data):
     ncols, rows = drawn
     new, old = Echelon(), dense_qlin.Echelon()
     for row in rows:
-        assert new.add(row) == old.add(row)
-        assert new.pivots == old.pivots
+        assert new.add(sparse(row)) == old.add(row)
+        assert list(new.row_of) == old.pivots
         assert new.rank == old.rank
-        assert [dense(r, ncols) for r in new.rows] == old.rows
+        assert [dense(r, ncols) for r in new.row_of.values()] == old.rows
     probes = data.draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), max_size=4))
     for vec in probes + rows:
-        assert dense(new.residual(vec), ncols) == old.residual(vec)
-        assert new.contains(vec) == old.contains(vec)
-        assert new.contains({c: x for c, x in enumerate(vec) if x}) == old.contains(vec)
+        assert dense(new.residual(dict(enumerate(vec))), ncols) == old.residual(vec)
+        assert new.contains(sparse(vec)) == old.contains(vec)
 
 
 # Differential test of the scalar: the three-int QC against the Fraction-pair
