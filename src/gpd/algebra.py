@@ -11,26 +11,26 @@ constraints are vacuous and the space is the full function space.
 
 Convolution, involution, and regular representations follow the standard
 fiberwise formulas, optionally twisted by a 2-cocycle; everything except
-operator norms and eigenvalue clustering is computed exactly.
+`reduced_norm`, the operator norm, is computed exactly.
 
 Every exact answer about the algebra is computed on arrow functions, read
 as {arrow index: QC} rows, the one row format of `qlin`: the admissible
 space is the `nullspace` of the constraint rows, and each of its basis
 elements is read straight off a kernel row. The closure under products is
 the only place the closed algebra's products are formed: it keeps them as a
-table, which the simple-block analysis reads for the exact center
-(`block_structure(alg, basis=...)` closes the given basis the same way and
-raises NotClosed if its span grows). Every product of two lists of
-elements, here and in `cartan`, is formed by `_products`: it indexes the
-second list by the range points of the supports, so a pair is formed only
-when some source of the first factor's support is a range of the second's;
-every other product is zero. `convolve` itself indexes the second factor by
-range, so it visits only the composable pairs of support arrows. The left
-regular representation over one unit per orbit is a faithful
+table, which the simple-block analysis reads for the exact center and its
+trace identities (`block_structure(alg, basis=...)` closes the given basis
+the same way and raises NotClosed if its span grows). Every product of two
+lists of elements, here and in `cartan`, is formed by `_products`: it
+indexes the second list by the range points of the supports, so a pair is
+formed only when some source of the first factor's support is a range of
+the second's; every other product is zero. `convolve` itself indexes the
+second factor by range, so it visits only the composable pairs of support
+arrows. The left regular representation over one unit per orbit is a faithful
 *-representation when the Haar system and the cocycle are validated, so
-these answers are those of the represented algebra. Its matrices are built only to check that
-faithfulness, for `regular_rep`, and at the float boundary, where blocks
-are split and norms taken (`_conjugated`).
+these answers are those of the represented algebra. Its matrices are
+built only to check that faithfulness, for `regular_rep`, and for
+`reduced_norm`, the only float code (`_conjugated`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     UnknownPoint,
 )
 from .groupoid import Groupoid, HaarSystem, orbits
-from .qlin import ONE, QC, ZERO, Echelon, nullspace, qc
+from .qlin import ONE, QC, ZERO, Echelon, nullspace, qc, solve
 
 __all__ = [
     "AlgebraElement",
@@ -72,11 +72,6 @@ __all__ = [
     "block_structure",
     "block_decomposition",
 ]
-
-# Relative cut for the float decisions of block splitting: eigenvalue gaps
-# and the singular values that count as nonzero rank.
-RANK_TOL = 1e-9
-
 
 @dataclass(eq=False)
 class AlgebraElement:
@@ -445,8 +440,9 @@ def reduced_norm(
 
     The fiber inner product weights each basis arrow by the Haar mass of its
     inverse, so each block is conjugated by the square-root weight diagonal
-    (`_conjugated`, as block splitting does) before taking the largest
-    singular value.
+    (`_conjugated`) before taking the largest singular value. This and its
+    two helpers are the package's only float code, and the only code that
+    imports numpy.
     """
     import numpy as np
 
@@ -568,15 +564,21 @@ def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
     enlarge its span, that span, and the product table, products[i, j]
     being the nonzero arrow coordinates of closed[i] * closed[j].
 
+    The span holds each closed[j] as its arrow coordinates plus a tag
+    {width + j: 1} past the arrow columns, width being the number of
+    arrows. An element of the span leaves a residual on the tags alone:
+    its closed-basis coordinates, negated (`_simple_blocks` reads them).
+
     Semi-naive: every pair of closed[:old] was multiplied in an earlier
     round, and the span only grows, so a round multiplies just the pairs
     (i, j) that involve an element added in the round before (`_products`
     with `since`). The last round adds nothing, so the table holds every
     nonzero product, each formed once."""
     closed = list(basis)
+    width = len(closed[0].groupoid.arrows) if closed else 0
     span = Echelon()
-    for f in closed:
-        span.add(_arrow_coords(f))
+    for j, f in enumerate(closed):
+        span.add({**_arrow_coords(f), width + j: ONE})
     products = {}
     old = 0
     while True:
@@ -584,7 +586,9 @@ def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
         for (i, j), p in _products(closed, closed, haar, sigma, since=old).items():
             coords = _arrow_coords(p)
             products[i, j] = coords
-            if span.add(coords):
+            rest = span.residual(coords)
+            if min(rest) < width:
+                span.add({**rest, width + len(closed): ONE})
                 closed.append(p)
         if len(closed) == current:
             break
@@ -592,36 +596,17 @@ def _close(basis: Sequence[AlgebraElement], haar, sigma) -> tuple:
     return tuple(closed), span, products
 
 
-def _split_by_hermitian(subspaces, h):
-    import numpy as np
-
-    out = []
-    for q in subspaces:
-        if q.shape[1] == 1:
-            out.append(q)
-            continue
-        s = q.conj().T @ h @ q
-        s = (s + s.conj().T) / 2
-        vals, vecs = np.linalg.eigh(s)
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > RANK_TOL:
-                out.append(q @ vecs[:, start:i])
-                start = i
-    return out
-
-
 def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
     """Simple-block analysis of a product-closed subalgebra.
 
     Validates that the span of the basis is closed under the involution,
-    computes its center exactly, splits the representation space into
-    joint eigenspaces of the conjugated central elements, and sizes each
-    simple block by the rank of the restricted algebra. Returns the block
-    sizes, as {"sizes": ...}. The closed algebra is analysed once, from
-    the product table its closure kept, and the result kept on `algebra`.
-    An explicit `basis` (arrow functions, such as `algebra.cc.basis`) is
-    closed afresh on every call, and raises NotClosed if its span grows.
+    computes its center exactly, and reads the block sizes off trace
+    identities on the center, in exact arithmetic (`_simple_blocks`).
+    Returns the block sizes, largest first, as {"sizes": ...}. The closed
+    algebra is analysed once, from the product table its closure kept, and
+    the result kept on `algebra`. An explicit `basis` (arrow functions, such
+    as `algebra.cc.basis`) is closed afresh on every call, and raises
+    NotClosed if its span grows.
     """
     if basis is not None:
         closed, span, products = _close(basis, algebra.haar, algebra.sigma)
@@ -635,46 +620,74 @@ def block_structure(algebra: ConcreteAlgebra, basis=None) -> dict:
 
 
 def _simple_blocks(algebra: ConcreteAlgebra, basis, span: Echelon, products) -> dict:
-    """The blocks of a closed basis, from its span and product table (`_close`)."""
-    import numpy as np
+    """The block sizes of a closed basis, largest first, from its span and
+    product table (`_close`).
 
+    A *-closed algebra of matrices is ⊕ M_{n_i}, and its center Z is
+    spanned by the c minimal central projections e_i. Write z in Z as
+    Σ λ_i(z) e_i, L_z for left multiplication on the algebra and M_z for
+    multiplication on Z. Then Tr(L_z) = Σ n_i² λ_i(z) and the trace form
+    Tr(M_{xy}) = Σ λ_i(x) λ_i(y) is nondegenerate, so w = Σ n_i² e_i is the
+    one solution of Tr(M_{wz}) = Tr(L_z) for all z in Z, and the nullity of
+    M_w − n² counts the blocks of size n. No eigenvalue is taken."""
     if not basis:
         return {"sizes": ()}
+    width = len(algebra.groupoid.arrows)
     for a in basis:
-        if not span.contains(_arrow_coords(star(a, algebra.sigma))):
+        if min(span.residual(_arrow_coords(star(a, algebra.sigma)))) < width:
             raise NotClosed("subspace is not closed under the involution")
 
     # sum_i c_i basis[i] is central iff it commutes with every basis[j]
     transposed = {(j, i): p for (i, j), p in products.items()}
-    center_coeffs = nullspace(_commutation_rows(products, transposed), len(basis))
+    center = nullspace(_commutation_rows(products, transposed), len(basis))
+    c = len(center)
+    # A center vector is the only one nonzero at its free column, its last,
+    # so a central element's center coordinates are its entries there.
+    free = {max(z): e for e, z in enumerate(center)}
+    trace_l = [ZERO] * len(basis)  # Tr(L_{basis[i]})
+    on_free = {}  # basis[i] * basis[j] in center coordinates, where central
+    for (i, j), p in products.items():
+        for col, x in span.residual(p).items():
+            k = col - width
+            if k == j:
+                trace_l[i] -= x
+            if k in free:
+                on_free.setdefault((i, j), {})[free[k]] = -x
 
-    sqrt_w = _sqrt_weights(algebra.weight_diags())
-    conj_basis = [_conjugated(algebra.represent(f), sqrt_w) for f in basis]
-    total = conj_basis[0].shape[0]
-    subspaces = [np.eye(total, dtype=complex)]
-    for coeffs in center_coeffs:
-        c = sum(
-            (v.to_complex() * conj_basis[i] for i, v in coeffs.items()),
-            start=np.zeros((total, total), dtype=complex),
-        )
-        for h in ((c + c.conj().T) / 2, (c - c.conj().T) / 2j):
-            subspaces = _split_by_hermitian(subspaces, h)
+    # times[a][b]: z_a * z_b in center coordinates; Z is commutative
+    times = [[{} for _ in range(c)] for _ in range(c)]
+    for a, x in enumerate(center):
+        for b in range(a, c):
+            out = times[a][b]
+            for i, u in x.items():
+                for j, v in center[b].items():
+                    for e, t in on_free.get((i, j), {}).items():
+                        out[e] = out.get(e, ZERO) + u * v * t
+            times[b][a] = out
+    trace_m = [sum((times[e][b].get(b, ZERO) for b in range(c)), ZERO) for e in range(c)]
+    form = [
+        _prune({b: sum((t * trace_m[e] for e, t in times[a][b].items()), ZERO) for b in range(c)})
+        for a in range(c)
+    ]
+    if nullspace(form, c):
+        raise InvariantViolation("the trace form of the center is degenerate")
+    w = solve(form, [sum((u * trace_l[i] for i, u in z.items()), ZERO) for z in center], c)
+    m_w = [{} for _ in range(c)]  # rows of M_w: M_w z_b = Σ_a w_a z_a z_b
+    for a, u in w.items():
+        for b in range(c):
+            for e, t in times[a][b].items():
+                m_w[e][b] = m_w[e].get(b, ZERO) + u * t
 
     sizes = []
-    for q in subspaces:
-        r = _numeric_rank(np.array([(q.conj().T @ m @ q).ravel() for m in conj_basis]))
-        n = math.isqrt(r)
-        if n * n != r:
-            raise InvariantViolation("restricted block is not a full matrix algebra")
-        if n:
-            sizes.append(n)
+    for n in range(1, math.isqrt(len(basis)) + 1):
+        if len(sizes) == c:
+            break
+        shifted = [{**row, e: row.get(e, ZERO) - QC(n * n)} for e, row in enumerate(m_w)]
+        sizes[:0] = [n] * len(nullspace(shifted, c))
+    if len(sizes) != c:
+        raise InvariantViolation(f"found {len(sizes)} blocks, but the center has dimension {c}")
     if sum(n * n for n in sizes) != len(basis):
         raise InvariantViolation("block sizes must account for the dimension")
-    if len(sizes) != len(center_coeffs):
-        raise InvariantViolation(
-            f"the eigen split found {len(sizes)} blocks, "
-            f"but the exact center has dimension {len(center_coeffs)}"
-        )
     return {"sizes": tuple(sizes)}
 
 
@@ -702,15 +715,6 @@ def _conjugated(blocks, sqrt_w):
         out[at : at + n, at : at + n] = (d[:, None] * m) / d[None, :]
         at += n
     return out
-
-
-def _numeric_rank(m) -> int:
-    """Singular values above RANK_TOL relative to the largest (at least 1)."""
-    import numpy as np
-
-    svals = np.linalg.svd(m, compute_uv=False)
-    cut = RANK_TOL * max(1.0, float(svals[0])) if len(svals) else 0.0
-    return int((svals > cut).sum())
 
 
 def block_decomposition(algebra: ConcreteAlgebra) -> tuple[int, ...]:

@@ -471,13 +471,30 @@ def test_block_structure_rejects_non_closed_span(a1):
 
 
 def test_block_count_is_checked_against_the_exact_center(monkeypatch):
-    # An eigen split that separates nothing leaves the untwisted Klein
-    # algebra (four 1x1 blocks) as one 4-dimensional subspace, on which the
-    # algebra has rank 4: a plausible single 2x2 block with the right total
-    # dimension. Only the exact center, of dimension 4, exposes it.
-    alg = catalog.build("cocycle_klein")["extras"]["untwisted"].algebra
-    monkeypatch.setattr(algebra, "_split_by_hermitian", lambda subspaces, h: subspaces)
-    with pytest.raises(InvariantViolation, match="center has dimension 4"):
+    # The untwisted Klein algebra is four 1x1 blocks, with its unit at
+    # closed[0]. Each corruption of the exact data below breaks one of the
+    # trace identities, and must raise rather than return a multiset.
+    def untwisted():
+        return catalog.build("cocycle_klein")["extras"]["untwisted"].algebra
+
+    # One center vector dropped: M_w has no square eigenvalue left.
+    alg = untwisted()
+    rows = algebra._commutation_rows
+    monkeypatch.setattr(algebra, "_commutation_rows", lambda xy, yx: rows(xy, yx) + [{3: QC(1)}])
+    with pytest.raises(InvariantViolation, match="center has dimension 3"):
+        block_structure(alg)
+    monkeypatch.undo()
+    # The unit's square lost from the product table.
+    alg = untwisted()
+    del alg._products[0, 0]
+    with pytest.raises(InvariantViolation, match="trace form of the center is degenerate"):
+        block_structure(alg)
+    # The unit acting as 4 on closed[1]: four square eigenvalues, which
+    # overcount the dimension.
+    alg = untwisted()
+    for ij in ((0, 1), (1, 0)):
+        alg._products[ij] = {c: QC(4) * x for c, x in alg._products[ij].items()}
+    with pytest.raises(InvariantViolation, match="account for the dimension"):
         block_structure(alg)
 
 

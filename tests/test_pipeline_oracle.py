@@ -2,21 +2,24 @@
 results of gpd's own pipeline: every ladder rung of bench/workloads.py and
 rotation(6,6), the largest rotation the catalog allows, each through every
 stage, checked as a benchmark round checks it; then random small models,
-drawn with bench/docs.py's seeded document builders."""
+drawn with bench/docs.py's seeded document builders, and random bicharacter
+twists of Z_a x Z_b, over one unit and over an orbit of two points."""
 
+import itertools
 import pathlib
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 
 import docs  # noqa: E402
 import oracle  # noqa: E402
 import workloads  # noqa: E402
-from gpd import algebra, cartan, groupoid, serialize  # noqa: E402
+from gpd import algebra, cartan, finitetop, groupoid, serialize  # noqa: E402
+from gpd.qlin import QC  # noqa: E402
 
 MODELS = workloads.RUNGS + (("rotation(6,6)", "rotation", {"n": 6, "m": 6}),)
 
@@ -54,20 +57,18 @@ def models(draw):
     return docs.cyclic_case(rng, n, lengths, "cyclic")
 
 
-@settings(max_examples=100, deadline=None)
-@given(models())
-def test_random_models_pass_the_oracle(case):
-    doc = case["groupoid"]
-    g, haar = serialize.load_groupoid(doc)
+def _pipeline_result(g, haar, sigma=None):
+    """The plain values `oracle.check_pipeline` reads, as a ladder round
+    computes them."""
     cc = algebra.cc_space(g)
-    alg = algebra.concrete_algebra(g, haar=haar)
+    alg = algebra.concrete_algebra(g, sigma=sigma, haar=haar)
     structure = algebra.block_structure(alg)
-    rep = cartan.cartan_report(g, None, haar, cc)
-    uep = workloads._or_not_masa(lambda: cartan.uep_report(g, None, haar, alg, rep)["counts"])
+    rep = cartan.cartan_report(g, sigma, haar, cc)
+    uep = workloads._or_not_masa(lambda: cartan.uep_report(g, sigma, haar, alg, rep)["counts"])
     weyl = workloads._or_not_masa(lambda: cartan.weyl_relation(alg)[0])
     if weyl != "NotMasa":
         weyl = (list(weyl.units.points), [(weyl.r[a], weyl.s[a]) for a in weyl.arrows])
-    res = {
+    return {
         "principal": groupoid.classify(g)["principal"],
         "blocks": tuple(sorted(structure["sizes"], reverse=True)),
         "dim": alg.dim,
@@ -76,4 +77,80 @@ def test_random_models_pass_the_oracle(case):
         "uep": uep,
         "weyl": weyl,
     }
-    assert oracle.check_pipeline(res, doc) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(models())
+def test_random_models_pass_the_oracle(case):
+    doc = case["groupoid"]
+    g, haar = serialize.load_groupoid(doc)
+    assert oracle.check_pipeline(_pipeline_result(g, haar), doc) == []
+
+
+POWERS = (QC(1), QC(0, 1), QC(-1), QC(0, -1))
+
+
+def bicharacter_model(a, b, exps, k, rng):
+    """Z_a x Z_b x Z_k translating k discrete points through its last
+    factor, so that the points form one free orbit of Z_k with isotropy
+    Z_a x Z_b at each (k = 1: the group over one unit). The twist is the
+    bicharacter (x, y) -> i^(sum of exps[j][l] x_j y_l over j, l < 2) of
+    Z_a x Z_b, times the coboundary of a random f with values in {±1, ±i}."""
+    elems = list(itertools.product(range(a), range(b), range(k)))
+    name = {e: "".join(map(str, e)) for e in elems}
+    elem = {v: e for e, v in name.items()}
+
+    def add(x, y):
+        return tuple((u + v) % n for u, v, n in zip(x, y, (a, b, k)))
+
+    group = {
+        "elements": list(elem),
+        "mul": {(name[x], name[y]): name[add(x, y)] for x in elems for y in elems},
+        "identity": name[0, 0, 0],
+    }
+    points = [f"p{t}" for t in range(k)]
+    action = {name[e]: {f"p{t}": f"p{(t + e[2]) % k}" for t in range(k)} for e in elems}
+    space = finitetop.make_space(points, {x: {x} for x in points})
+    g = groupoid.transformation_groupoid(group, action, space, name="bicharacter")
+    f = {e: rng.choice(POWERS) for e in elems}
+    f[0, 0, 0] = QC(1)
+
+    def omega(x, y):
+        power = sum(exps[j][l] * x[j] * y[l] for j in range(2) for l in range(2))
+        return POWERS[power % 4] * f[x] * f[y] / f[add(x, y)]
+
+    # an arrow "x|p" is the group element x at the point p
+    sigma = algebra.make_cocycle(
+        g, {(p, q): omega(elem[p.split("|")[0]], elem[q.split("|")[0]]) for p, q in g.comp}
+    )
+    return g, groupoid.HaarSystem.counting(g), sigma
+
+
+@st.composite
+def bicharacters(draw):
+    """(a, b, exps, seed): exps[j][l] is an exponent of i whose power is
+    well defined on Z_a x Z_b, so 4 divides it times the orders of both
+    factors it pairs."""
+    orders = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    exps = [
+        [draw(st.sampled_from([t for t in range(4) if t * orders[j] % 4 == t * orders[l] % 4 == 0]))
+         for l in range(2)]
+        for j in range(2)
+    ]
+    return (*orders, exps, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(bicharacters())
+@example((4, 4, [[0, 0], [2, 0]], 0))
+def test_random_twisted_models_pass_the_oracle(params):
+    # An orbit of k points twisted this way has |R| blocks of size
+    # k * sqrt(|H| / |R|), R being the radical of the twist on its isotropy
+    # H, so these reach centres with several blocks larger than 1 (Z4 x Z4
+    # twisted by (-1)^(x_2 y_1): 4 blocks of size 2 over one unit, of size
+    # 4 over an orbit of 2 points).
+    a, b, exps, seed = params
+    for orbit in (1, 2):
+        g, haar, sigma = bicharacter_model(a, b, exps, orbit, random.Random(seed))
+        doc, cocycle = serialize.groupoid_doc(g, haar), serialize.cocycle_doc(sigma)
+        assert oracle.check_pipeline(_pipeline_result(g, haar, sigma), doc, cocycle) == []

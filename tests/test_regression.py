@@ -54,7 +54,6 @@ def _counted(fn, name, counts):
 
 CATALOG_ALL_COUNTED = (
     "algebra.convolve",
-    "algebra._numeric_rank",
     "algebra.concrete_algebra",
     "algebra.block_structure",
     "cartan.cartan_report",
@@ -133,8 +132,9 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     # m_i * b_j again 1 188. Extension counts are read off the exact
     # corners p·A·p, formed as products p * m * p over the closed algebra,
     # where they were once taken as float ranks on the regular
-    # representation: that raised the convolutions from 1 078 to 1 233 and
-    # cut the SVDs from 246 to the 46 of block splitting.
+    # representation: that raised the convolutions from 1 078 to 1 233.
+    # Block sizes come from trace identities on the exact center, read off
+    # the closure's product table, so they form no product of their own.
     # Building a groupoid checks only the continuity of r and s, and
     # `classify` tests properness without the product space X×X: the 8
     # map_report calls are the transformation groupoids' homeomorphism
@@ -143,7 +143,6 @@ def test_catalog_all_computes_each_analysis_once(catalog_all):
     _, _, counts = catalog_all
     assert counts == {
         "algebra.convolve": 1233,
-        "algebra._numeric_rank": 46,
         "algebra.concrete_algebra": 14,
         "algebra.block_structure": 14,
         "cartan.cartan_report": 12,
