@@ -460,8 +460,8 @@ def _extension_count(
     prods = _products(corner, corner, algebra.haar, algebra.sigma) if len(corner) > 1 else {}
     if all(prods.get((j, i)) == x for (i, j), x in prods.items()):
         return len(corner)
-    sizes = sorted(block_structure(algebra, basis=corner)["sizes"], reverse=True)
-    return tuple(sizes) + (0,) * (blocks - len(sizes))
+    sizes = block_structure(algebra, basis=corner)["sizes"]
+    return sizes + (0,) * (blocks - len(sizes))
 
 
 def uep_report(
@@ -503,7 +503,7 @@ def uep_report(
         "counts": counts,
         "diagonal": report.overall and all_unique,
         "all_unique": all_unique,
-        "block_sizes": tuple(sorted(sizes, reverse=True)),
+        "block_sizes": sizes,
     }
 
 

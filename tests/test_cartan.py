@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from gpd.algebra import (
     delta,
     make_cocycle,
     make_element,
+    star,
     zero_element,
 )
 from gpd.cartan import (
@@ -27,7 +29,7 @@ from gpd.cartan import (
 from gpd.errors import AxiomViolation, GroupoidMismatch, InvalidCocycle, NotMasa, WrongShape
 from gpd.finitetop import make_space
 from gpd.germs import generate, germ_groupoid, make_partial_homeo
-from gpd.groupoid import classify, make_haar, pair_groupoid
+from gpd.groupoid import classify, make_haar, pair_groupoid, relation_groupoid
 from gpd.qlin import Echelon
 
 
@@ -66,6 +68,29 @@ def test_minimal_idempotents_of_interval_reflection(a1):
         for j, (_, f) in enumerate(idems):
             if i != j:
                 assert convolve(e, f, haar) == zero_element(g)
+
+
+def _source_weighted(g, mu):
+    """Haar weights mu(s(a)): left invariant, as s(ab) = s(b)."""
+    return make_haar(g, {a: mu[g.s[a]] for a in g.arrows})
+
+
+@pytest.mark.parametrize("model, mu", [
+    ("pair3", {"0": 1, "1": 2, "2": Fraction(3, 2)}),
+    ("klein", {"*": 3}),
+    ("a1", {"-1": 2, "a": 5, "0": Fraction(1, 3), "b": 5, "1": 2}),
+])
+def test_spectrum_idempotents_under_non_counting_weights(request, model, mu):
+    # e = (1/mu(x))·δ_x is the projection of B at x: e·e weighs the arrow
+    # by mu(x) once more, and without the normalisation e·e = mu(x)·e.
+    m = request.getfixturevalue(model)
+    haar = _source_weighted(m["g"], mu)
+    idems = minimal_idempotents(unit_subalgebra(m["g"]), haar)
+    assert idems
+    assert any(mu[pts[0]] != 1 for pts, _ in idems)
+    for _, e in idems:
+        assert convolve(e, e, haar, m["sigma"]) == e
+        assert star(e, m["sigma"]) == e
 
 
 # -------------------------------------------------------------- full reports
@@ -174,6 +199,29 @@ def test_verified_diagonal_sweep_over_models(a1, a2, a3, a4, two_involutions, kl
             and model["sigma"] is None
         ):
             assert report_of(model).overall
+
+
+def _injective(mapping, support):
+    return len({mapping[a] for a in support}) == len(support)
+
+
+def test_the_normalizer_family_needs_injective_sources():
+    # The pair groupoid of six points with U(p1) = {p1, p3, p5} and
+    # U(p4) = {p2, p4}, product topology. B vanishes off p0, so an admissible
+    # element whose arrows have distinct ranges but share a source normalizes
+    # B; it is not supported on a bisection, and the family leaves it out.
+    nbhd = {"p0": {"p0"}, "p1": {"p1", "p3", "p5"}, "p2": {"p2"}, "p3": {"p3"},
+            "p4": {"p2", "p4"}, "p5": {"p5"}}
+    g, haar = relation_groupoid(make_space(nbhd, nbhd), [(x, y) for x in nbhd for y in nbhd])
+    rep = cartan_report(g, None, haar)
+    sharing = [
+        c for c in cartan._bisection_candidates(g, cc_space(g), None)
+        if c.coeffs and _injective(g.r, c.support) and not _injective(g.s, c.support)
+        and cartan._normalizes(c, rep.units, haar, None)
+    ]
+    assert sharing
+    assert [f.support for f in rep.regular_family] == [("p0~p0",)]
+    assert rep.regular == "not verified"
 
 
 # ------------------------------------------------------- alternating element
